@@ -7,12 +7,19 @@
 //! `n = 1000, m = 100` running ≥ 3× faster through the table path;
 //! `tables/old_closed_form` vs `tables/table_driven` measures exactly
 //! that pair.
+//!
+//! The `tables/stage` legs time code drawing alone at `n = 10⁴` and
+//! `θ ∈ {0.05, 0.6, 2}`, in ns per stage: the guide-table path
+//! (`sample_code_into`) against the galloping oracle
+//! (`sample_stage_reference`). Before any timing they assert that both
+//! draw byte-identical codes and leave the RNG in the same state.
 
 use criterion::{criterion_group, Criterion};
 use fairrank_engine::tables::TableCache;
 use mallows_model::tables::{sample_reference, SamplerTables};
 use mallows_model::MallowsModel;
 use rand::rngs::StdRng;
+use rand::SeedableRng;
 use ranking_core::Permutation;
 use std::hint::black_box;
 use std::time::Duration;
@@ -20,6 +27,36 @@ use std::time::Duration;
 const N: usize = 1000;
 const M: usize = 100;
 const THETA: f64 = 1.0;
+/// Ranking length and dispersions of the stage-draw legs.
+const STAGE_N: usize = 10_000;
+const STAGE_THETAS: [f64; 3] = [0.05, 0.6, 2.0];
+
+/// One code drawn stage by stage through the galloping oracle.
+fn oracle_code_into(tables: &SamplerTables, code: &mut Vec<usize>, rng: &mut StdRng) {
+    code.clear();
+    code.extend((1..=tables.n()).map(|j| tables.sample_stage_reference(j, rng)));
+}
+
+/// The guide-table path must draw the oracle's codes byte for byte and
+/// consume the same randomness; checked before anything is timed.
+fn assert_codes_match_oracle(tables: &SamplerTables) {
+    for seed in 0..4 {
+        let mut fast = StdRng::seed_from_u64(seed);
+        let mut oracle = fast.clone();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for _ in 0..4 {
+            tables.sample_code_into(tables.n(), &mut a, &mut fast);
+            oracle_code_into(tables, &mut b, &mut oracle);
+            assert_eq!(a, b, "codes differ at θ={}", tables.theta());
+        }
+        assert_eq!(
+            fast,
+            oracle,
+            "RNG end state differs at θ={}",
+            tables.theta()
+        );
+    }
+}
 
 /// The pre-table `sample_many`: one reference draw (closed-form stage
 /// inversion, fresh code vector and decode) per sample.
@@ -80,6 +117,49 @@ fn bench_large_n(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_stage_draws(c: &mut Criterion) {
+    let mut g = c.benchmark_group("tables/stage");
+    for theta in STAGE_THETAS {
+        let tables = SamplerTables::new(STAGE_N, theta).unwrap();
+        assert_codes_match_oracle(&tables);
+        let mut code = Vec::new();
+        let mut rng = bench::bench_rng();
+        g.bench_function(format!("guide/n{STAGE_N}_theta{theta}"), |b| {
+            b.iter(|| {
+                tables.sample_code_into(STAGE_N, &mut code, &mut rng);
+                black_box(code.len());
+            });
+        });
+        let mut rng = bench::bench_rng();
+        g.bench_function(format!("oracle/n{STAGE_N}_theta{theta}"), |b| {
+            b.iter(|| {
+                oracle_code_into(&tables, &mut code, &mut rng);
+                black_box(code.len());
+            });
+        });
+    }
+    g.finish();
+}
+
+/// Nanoseconds per stage of the guide path and of the oracle at `θ`.
+fn stage_ns(theta: f64) -> (f64, f64) {
+    let tables = SamplerTables::new(STAGE_N, theta).unwrap();
+    assert_codes_match_oracle(&tables);
+    let mut code = Vec::new();
+    let mut rng = bench::bench_rng();
+    let guide_s = time_per_iter(200, || {
+        tables.sample_code_into(STAGE_N, &mut code, &mut rng);
+        black_box(code.len());
+    });
+    let mut rng = bench::bench_rng();
+    let oracle_s = time_per_iter(200, || {
+        oracle_code_into(&tables, &mut code, &mut rng);
+        black_box(code.len());
+    });
+    let per_stage = 1e9 / (STAGE_N - 1) as f64;
+    (guide_s * per_stage, oracle_s * per_stage)
+}
+
 fn bench_table_cache(c: &mut Criterion) {
     let mut g = c.benchmark_group("tables/cache");
     g.bench_function("cold_build_n1000", |b| {
@@ -99,7 +179,7 @@ criterion_group! {
         .sample_size(10)
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_millis(1200));
-    targets = bench_sample_many, bench_large_n, bench_table_cache
+    targets = bench_sample_many, bench_large_n, bench_stage_draws, bench_table_cache
 }
 /// Seconds per iteration of `f`, after one warm-up call.
 fn time_per_iter(iters: usize, mut f: impl FnMut()) -> f64 {
@@ -147,6 +227,12 @@ fn main() {
             }) * 1e3
         })
         .collect();
+    // code drawing alone at n = 10⁴: ns per stage, guide path vs oracle
+    let stage = STAGE_THETAS.map(stage_ns);
+    for (theta, (guide, oracle)) in STAGE_THETAS.iter().zip(stage) {
+        println!("stage draw n={STAGE_N} θ={theta}: guide {guide:.1} ns/stage, oracle {oracle:.1} ns/stage");
+    }
+    let [(g005, o005), (g06, o06), (g2, o2)] = stage;
     bench::summary::record(
         "sampler_tables",
         &[
@@ -156,6 +242,12 @@ fn main() {
             ("cache_hit_ns", cache_hit_s * 1e9),
             ("stream_n1e4_ms", large_n_ms[0]),
             ("stream_n1e5_ms", large_n_ms[1]),
+            ("stage_ns_theta0_05", g005),
+            ("stage_ns_theta0_05_oracle", o005),
+            ("stage_ns_theta0_6", g06),
+            ("stage_ns_theta0_6_oracle", o06),
+            ("stage_ns_theta2", g2),
+            ("stage_ns_theta2_oracle", o2),
         ],
     );
 }

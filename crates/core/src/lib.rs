@@ -111,7 +111,6 @@ const _: () = {
     assert_send_sync::<mallows_model::MallowsModel>();
     assert_send_sync::<mallows_model::SamplerTables>();
     assert_send_sync::<mallows_model::RimSampler>();
-    assert_send_sync::<fairness_metrics::infeasible::InfeasibleEvaluator>();
     assert_send_sync::<NdcgCalibration>();
     assert_send_sync::<FairMallowsError>();
 };

@@ -33,9 +33,9 @@ pub struct TableCache {
 
 struct Inner {
     map: HashMap<(usize, u64), Arc<SamplerTables>>,
-    /// Insertion order for FIFO eviction. Tables are tiny (`n` floats)
-    /// and cheap to rebuild, so plain FIFO is enough — no recency
-    /// bookkeeping on the hot hit path.
+    /// Insertion order for FIFO eviction. Tables are small (`n` floats
+    /// plus a 4 KB guide) and cheap to rebuild, so plain FIFO is
+    /// enough — no recency bookkeeping on the hot hit path.
     order: VecDeque<(usize, u64)>,
 }
 
@@ -93,7 +93,7 @@ impl TableCache {
         }
         let shard = self.shard(key);
         {
-            let inner = shard.lock().expect("table cache lock");
+            let inner = crate::lock_recover(shard);
             if let Some(tables) = inner.map.get(&key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(Arc::clone(tables));
@@ -103,7 +103,7 @@ impl TableCache {
         // serialize concurrent misses on different keys
         let tables = Arc::new(SamplerTables::new(n, theta)?);
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut inner = shard.lock().expect("table cache lock");
+        let mut inner = crate::lock_recover(shard);
         // a racing builder may have inserted an equivalent table for
         // this key already; overwriting it is harmless (same (n, θ) →
         // identical contents) and `order` keeps a single entry
@@ -132,7 +132,7 @@ impl TableCache {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("table cache lock").map.len())
+            .map(|s| crate::lock_recover(s).map.len())
             .sum()
     }
 
@@ -284,6 +284,27 @@ mod tests {
         }
         assert!(cache.len() <= 8, "len = {}", cache.len());
         assert!(cache.len() >= 4, "both shards should retain entries");
+    }
+
+    #[test]
+    fn poisoned_shard_keeps_serving() {
+        // a holder that panics mid-update poisons the shard's mutex;
+        // the map it guards is still structurally valid, so lookups,
+        // inserts and `len` must recover instead of panicking
+        let cache = Arc::new(TableCache::with_shards(4, 1));
+        cache.get_or_build(10, 1.0).unwrap();
+        let poisoner = Arc::clone(&cache);
+        let joined = std::thread::spawn(move || {
+            let _guard = poisoner.shards[0].lock().unwrap();
+            panic!("poison the shard");
+        })
+        .join();
+        assert!(joined.is_err());
+        assert!(cache.shards[0].is_poisoned());
+        cache.get_or_build(10, 1.0).unwrap(); // hit
+        cache.get_or_build(20, 1.0).unwrap(); // miss + insert
+        assert_eq!((cache.hits(), cache.misses()), (1, 2));
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]

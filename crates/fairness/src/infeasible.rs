@@ -47,7 +47,7 @@ pub fn infeasible_breakdown(
     bounds: &FairnessBounds,
 ) -> Result<InfeasibleBreakdown> {
     // one-shot callers skip the compile; repeated evaluation goes
-    // through `InfeasibleEvaluator` / `CompiledInfeasible`
+    // through `CompiledInfeasible`
     infeasible_breakdown_naive(pi, groups, bounds)
 }
 
@@ -217,8 +217,7 @@ impl CompiledInfeasible {
     }
 
     /// Full-ranking breakdown: `begin` + `place` each item. Caller
-    /// guarantees shape compatibility (see [`crate::pfair`] validation);
-    /// the higher-level [`InfeasibleEvaluator`] checks it.
+    /// guarantees shape compatibility (see [`crate::pfair`] validation).
     pub fn breakdown(&mut self, pi: &Permutation, groups: &GroupAssignment) -> InfeasibleBreakdown {
         debug_assert_eq!(pi.len(), self.n());
         debug_assert_eq!(groups.num_groups(), self.num_groups());
@@ -231,71 +230,6 @@ impl CompiledInfeasible {
             lower_violations: self.lower,
             upper_violations: self.upper,
         }
-    }
-}
-
-/// Allocation-free infeasible-index evaluator for hot selection loops.
-///
-/// Compiles the bounds into a [`CompiledInfeasible`] kernel on first
-/// use and caches it keyed on `(bounds, n)`, so a best-of-`m` loop (the
-/// streaming Algorithm 1) pays the compile once and every evaluation
-/// runs the `O(n + steps)` integer scan. Results are identical to the
-/// free functions.
-///
-/// ```
-/// use fairness_metrics::infeasible::{two_sided_infeasible_index, InfeasibleEvaluator};
-/// use fairness_metrics::{FairnessBounds, GroupAssignment};
-/// use ranking_core::Permutation;
-///
-/// let groups = GroupAssignment::binary_split(6, 3);
-/// let bounds = FairnessBounds::from_assignment(&groups);
-/// let pi = Permutation::identity(6);
-/// let mut eval = InfeasibleEvaluator::new();
-/// assert_eq!(
-///     eval.index(&pi, &groups, &bounds).unwrap(),
-///     two_sided_infeasible_index(&pi, &groups, &bounds).unwrap()
-/// );
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct InfeasibleEvaluator {
-    compiled: Option<(FairnessBounds, CompiledInfeasible)>,
-}
-
-impl InfeasibleEvaluator {
-    /// Empty evaluator; the kernel is compiled on first use.
-    pub fn new() -> Self {
-        InfeasibleEvaluator::default()
-    }
-
-    /// Per-term violation counts of Definition 3, reusing the cached
-    /// compiled kernel when `(bounds, n)` match the previous call.
-    pub fn breakdown(
-        &mut self,
-        pi: &Permutation,
-        groups: &GroupAssignment,
-        bounds: &FairnessBounds,
-    ) -> Result<InfeasibleBreakdown> {
-        validate(pi, groups, bounds)?;
-        let n = pi.len();
-        let cached = self
-            .compiled
-            .as_ref()
-            .is_some_and(|(b, c)| c.n() == n && b == bounds);
-        if !cached {
-            self.compiled = Some((bounds.clone(), CompiledInfeasible::compile(bounds, n)));
-        }
-        let (_, kernel) = self.compiled.as_mut().expect("compiled above");
-        Ok(kernel.breakdown(pi, groups))
-    }
-
-    /// `TwoSidedInfInd(π)`, reusing the cached compiled kernel.
-    pub fn index(
-        &mut self,
-        pi: &Permutation,
-        groups: &GroupAssignment,
-        bounds: &FairnessBounds,
-    ) -> Result<usize> {
-        Ok(self.breakdown(pi, groups, bounds)?.total())
     }
 }
 
@@ -469,18 +403,21 @@ mod tests {
     }
 
     #[test]
-    fn evaluator_recompiles_when_bounds_or_length_change() {
-        let mut eval = InfeasibleEvaluator::new();
+    fn compiled_kernel_is_reusable_across_rankings() {
+        // one compile per (bounds, n), replayed over several rankings:
+        // `breakdown` must reset its counters between them
         let g6 = GroupAssignment::binary_split(6, 3);
         let g4 = GroupAssignment::binary_split(4, 2);
         let tight = half();
         let loose = FairnessBounds::new(vec![0.0, 0.0], vec![1.0, 1.0]).unwrap();
-        for (groups, bounds) in [(&g6, &tight), (&g6, &loose), (&g4, &tight), (&g6, &tight)] {
-            let pi = Permutation::identity(groups.len());
-            assert_eq!(
-                eval.breakdown(&pi, groups, bounds).unwrap(),
-                infeasible_breakdown_naive(&pi, groups, bounds).unwrap()
-            );
+        for (groups, bounds) in [(&g6, &tight), (&g6, &loose), (&g4, &tight)] {
+            let mut kernel = CompiledInfeasible::compile(bounds, groups.len());
+            for pi in Permutation::enumerate_all(groups.len()) {
+                assert_eq!(
+                    kernel.breakdown(&pi, groups),
+                    infeasible_breakdown_naive(&pi, groups, bounds).unwrap()
+                );
+            }
         }
     }
 

@@ -139,9 +139,11 @@ proptest! {
         let naive = infeasible::infeasible_breakdown_naive(&pi, &groups, &bounds).unwrap();
         let mut kernel = infeasible::CompiledInfeasible::compile(&bounds, 14);
         prop_assert_eq!(kernel.breakdown(&pi, &groups), naive);
-        // the caching evaluator must agree too (fresh compile path)
-        let mut eval = infeasible::InfeasibleEvaluator::new();
-        prop_assert_eq!(eval.breakdown(&pi, &groups, &bounds).unwrap(), naive);
+        // a reused kernel must agree too: `breakdown` resets its state
+        let reversed = Permutation::from_order(pi.as_order().iter().rev().copied().collect()).unwrap();
+        let naive_rev = infeasible::infeasible_breakdown_naive(&reversed, &groups, &bounds).unwrap();
+        prop_assert_eq!(kernel.breakdown(&reversed, &groups), naive_rev);
+        prop_assert_eq!(kernel.breakdown(&pi, &groups), naive);
     }
 
     #[test]

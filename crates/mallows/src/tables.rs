@@ -10,19 +10,46 @@
 //!
 //! [`SamplerTables`] removes both costs for a fixed `(n, θ)` pair:
 //!
-//! * one shared prefix table `S[v] = Σ_{u ≤ v} q^u` (`n` entries, L1
-//!   resident for `n` in the thousands) serves **all** stages, because
-//!   stage `j`'s CDF is `S[v] / S[j−1]`;
-//! * [`SamplerTables::sample_stage`] inverts the CDF with a galloping
-//!   search from `v = 0` — for concentrated dispersions (`E[V] =
-//!   q/(1−q)`, below 1 for `θ ≥ 0.7`) that is two or three comparisons
-//!   instead of transcendental math;
+//! * one shared prefix table `S[v] = Σ_{u ≤ v} q^u` (`n` floats, 80 KB
+//!   at `n = 10⁴`) serves **all** stages, because stage `j`'s CDF is
+//!   `S[v] / S[j−1]`: a stage draws one uniform `u` and returns
+//!   `min{v : S[v] ≥ u·S[j−1]}`;
+//! * the prefix **saturates**: from the first index `sat` where `S`
+//!   equals its final value bit for bit, every later entry is that
+//!   same `total` (`q^v` has dropped below half an ulp of the sum;
+//!   `sat ≈ 60` at `θ = 0.6`, `≈ 680` at `θ = 0.05`, `0` once `q`
+//!   underflows). Every stage `j > sat + 1` therefore shares one CDF,
+//!   `S[v] / total`, and its answer lies in `0..=sat`;
+//! * those stages invert through a 1024-bucket guide table (Chen–Asau):
+//!   `guide[b] = min{v : S[v] ≥ (b/1024)·total}`. A draw computes
+//!   `target = u·total` and scans up from `guide[⌊1024·u⌋]` while
+//!   `S[v] < target` — usually zero or one step;
+//! * stages `j ≤ sat + 1` keep a galloping search from `v = 0`
+//!   (doubling steps, then a binary search in the final gap). At
+//!   `θ = 0` the prefix `S[v] = v + 1` never saturates, so every stage
+//!   takes this path and the uniform worst case stays `O(log j)`;
 //! * [`RimSampler`] owns the table plus code/decode scratch and writes
 //!   samples into caller-provided [`Permutation`] buffers, so a
 //!   best-of-`m` loop performs no allocation after warm-up.
 //!
-//! Tables are cheap to build (`O(n)` multiplications) and immutable, so
-//! the serving engine caches them per `(n, θ)` across requests.
+//! The guide path is exact, not approximate: it consumes the same
+//! single `f64` per stage and returns the same index as the galloping
+//! search. For `j > sat + 1`, `S[j−1] = total` bit for bit, so both
+//! compute the identical `target`. The bucket `b = ⌊1024·u⌋` satisfies
+//! `b/1024 ≤ u` exactly, and rounded multiplication by the positive
+//! `total` is monotone, so the bucket's threshold is at most `target`
+//! and no index below `guide[b]` can qualify. The scan then stops at
+//! the first qualifying index, which is the galloping search's answer.
+//! `#[doc(hidden)]` [`SamplerTables::sample_stage_reference`] keeps
+//! the pure galloping search as the oracle the property tests and the
+//! `sampler_tables` bench compare against.
+//!
+//! Tables are cheap to build and immutable, so the serving engine
+//! caches them per `(n, θ)` across requests. The build adds powers of
+//! `q` only up to the saturation point and fills the rest with `total`;
+//! this also skips the subnormal arithmetic `q^v` would otherwise run
+//! into (for `q > 1/2` it never reaches zero). It then fills the 4 KB
+//! guide when some stage will use it.
 //!
 //! ```
 //! use mallows_model::tables::{RimSampler, SamplerTables};
@@ -46,6 +73,10 @@ use ranking_core::lehmer::{self, DecodeScratch};
 use ranking_core::Permutation;
 use std::sync::Arc;
 
+/// Buckets in the guide table (a power of two, so the bucket index of
+/// `u ∈ [0, 1)` is an exact scaling).
+const GUIDE_BUCKETS: usize = 1024;
+
 /// Precomputed per-`(n, θ)` insertion-CDF table for RIM sampling.
 ///
 /// Immutable and `Send + Sync`; share it behind an [`Arc`] across
@@ -57,11 +88,21 @@ pub struct SamplerTables {
     /// `prefix[v] = Σ_{u=0..=v} q^u`; saturates harmlessly once `q^u`
     /// underflows (the tail mass is below one ulp of the total).
     prefix: Vec<f64>,
+    /// `prefix[n−1]` (0 for an empty table).
+    total: f64,
+    /// First index with `prefix[sat] == total` bit for bit; stages
+    /// `j > sat + 1` use the guide table. `n − 1` when the prefix never
+    /// saturates (`θ = 0`, or tiny `θ` at small `n`).
+    sat: usize,
+    /// `guide[b] = min{v : prefix[v] ≥ (b/1024)·total}`, all `≤ sat`;
+    /// all zero (a valid but slow start) when no stage `j > sat + 1`
+    /// exists or `sat` does not fit `u32`.
+    guide: Box<[u32; GUIDE_BUCKETS]>,
 }
 
 impl SamplerTables {
     /// Build the table for rankings of `n` items at dispersion
-    /// `θ ≥ 0`. Costs `O(n)` time and `n` floats of memory.
+    /// `θ ≥ 0`. Costs `O(n)` time, `n` floats and a 4 KB guide table.
     ///
     /// ```
     /// use mallows_model::tables::SamplerTables;
@@ -77,12 +118,46 @@ impl SamplerTables {
         let mut prefix = Vec::with_capacity(n);
         let mut power = 1.0f64;
         let mut sum = 0.0f64;
-        for _ in 0..n {
+        // once adding q^v leaves the sum unchanged, every later (smaller)
+        // power does too, so the rest of the table is the total. Stopping
+        // there also skips the slow subnormal multiplications: for
+        // q > 1/2, q^v never reaches zero but sticks at the smallest
+        // subnormal
+        while prefix.len() < n && sum + power != sum {
             sum += power;
             prefix.push(sum);
             power *= q;
         }
-        Ok(SamplerTables { n, theta, prefix })
+        // every pushed entry grew the sum, so the last one is the first
+        // equal to the total
+        let sat = prefix.len().saturating_sub(1);
+        prefix.resize(n, sum);
+        let total = sum;
+        // an all-zero guide is still a valid (if slow) start for every
+        // scan, so it stays zero when no stage j > sat + 1 will read it,
+        // or when its entries would not fit u32 (32 GiB of prefix)
+        let mut guide = Box::new([0u32; GUIDE_BUCKETS]);
+        if sat + 1 < n && u32::try_from(sat).is_ok() {
+            let mut v = 0usize;
+            for (b, slot) in guide.iter_mut().enumerate() {
+                // the same rounded product a draw with u = b/1024
+                // computes; it is at most prefix[sat] = total, which
+                // stops the walk
+                let threshold = (b as f64 / GUIDE_BUCKETS as f64) * total;
+                while prefix[v] < threshold {
+                    v += 1;
+                }
+                *slot = v as u32;
+            }
+        }
+        Ok(SamplerTables {
+            n,
+            theta,
+            prefix,
+            total,
+            sat,
+            guide,
+        })
     }
 
     /// Maximum ranking length the table supports.
@@ -97,25 +172,47 @@ impl SamplerTables {
 
     /// Approximate heap footprint in bytes (engine cache accounting).
     pub fn bytes(&self) -> usize {
-        self.prefix.len() * std::mem::size_of::<f64>()
+        self.prefix.len() * std::mem::size_of::<f64>() + std::mem::size_of_val(&*self.guide)
     }
 
     /// Draw `V ∈ {0, …, j−1}` with `P(V = v) ∝ q^v` by inverse-CDF
     /// lookup in the prefix table. Requires `j ≤ n`; consumes exactly
     /// one `f64` from `rng` for `j ≥ 2` and none for `j ≤ 1`.
     ///
-    /// The search gallops from `v = 0` (doubling steps, then a binary
-    /// search in the final gap), so concentrated stages resolve in a
-    /// couple of L1 reads while the uniform `θ = 0` worst case stays
-    /// `O(log j)`.
+    /// Stages past the saturation point resolve through the guide
+    /// table, earlier ones through the galloping search; both return
+    /// the same value for the same draw (see the module docs).
     #[inline]
     pub fn sample_stage<R: Rng + ?Sized>(&self, j: usize, rng: &mut R) -> usize {
         if j <= 1 {
             return 0;
         }
+        let u = rng.random();
+        if j <= self.sat + 1 {
+            self.gallop(j, u)
+        } else {
+            self.guided(u)
+        }
+    }
+
+    /// The galloping inverse-CDF search for every stage — the oracle
+    /// that [`SamplerTables::sample_stage`] and
+    /// [`SamplerTables::sample_code_into`] match draw for draw. Not
+    /// meant for production use.
+    #[doc(hidden)]
+    pub fn sample_stage_reference<R: Rng + ?Sized>(&self, j: usize, rng: &mut R) -> usize {
+        if j <= 1 {
+            return 0;
+        }
+        self.gallop(j, rng.random())
+    }
+
+    /// Smallest `v < j` with `prefix[v] ≥ u·prefix[j−1]`, by a
+    /// galloping search from `v = 0`. Requires `2 ≤ j ≤ n`.
+    #[inline]
+    fn gallop(&self, j: usize, u: f64) -> usize {
         debug_assert!(j <= self.n, "stage {j} exceeds table size {}", self.n);
         let s = &self.prefix[..j];
-        let u: f64 = rng.random();
         // smallest v with CDF(v) = s[v]/s[j−1] ≥ u; u < 1 guarantees
         // v = j−1 qualifies, so the search cannot fall off the end
         let target = u * s[j - 1];
@@ -140,9 +237,25 @@ impl SamplerTables {
         hi
     }
 
+    /// Smallest `v` with `prefix[v] ≥ u·total`, scanning up from the
+    /// guide entry of `u`'s bucket. Exact for every stage `j > sat + 1`.
+    #[inline]
+    fn guided(&self, u: f64) -> usize {
+        let target = u * self.total;
+        // u ∈ [0, 1), so the bucket is already below 1024; the mask
+        // only lets the compiler drop the bounds check
+        let mut v = self.guide[(u * GUIDE_BUCKETS as f64) as usize & (GUIDE_BUCKETS - 1)] as usize;
+        // prefix[sat] = total ≥ target stops the scan by v = sat
+        while self.prefix[v] < target {
+            v += 1;
+        }
+        v
+    }
+
     /// Fill `code` with a fresh stage-valid insertion code (`code[j−1]`
     /// is stage `j`'s inversion count) for a ranking of `len ≤ n`
-    /// items, reusing the buffer.
+    /// items, reusing the buffer. Draws exactly what `len` calls of
+    /// [`SamplerTables::sample_stage_reference`] would.
     pub fn sample_code_into<R: Rng + ?Sized>(
         &self,
         len: usize,
@@ -152,9 +265,16 @@ impl SamplerTables {
         debug_assert!(len <= self.n);
         code.clear();
         code.reserve(len);
-        for j in 1..=len {
-            code.push(self.sample_stage(j, rng));
+        if len == 0 {
+            return;
         }
+        // stage 1 has a single slot and draws nothing; stages 2..=sat+1
+        // see a still-growing prefix; the rest share the saturated CDF,
+        // so the hot loop carries no per-stage branch
+        code.push(0);
+        let galloped = len.min(self.sat + 1);
+        code.extend((2..=galloped).map(|j| self.gallop(j, rng.random())));
+        code.extend((galloped..len).map(|_| self.guided(rng.random())));
     }
 }
 
@@ -359,6 +479,95 @@ mod tests {
         for v in 0..6 {
             expect += q.powi(v as i32);
             assert!((t.prefix[v] - expect).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn saturation_point_and_guide_follow_the_prefix() {
+        for (theta, lo, hi) in [(0.6, 50, 70), (0.05, 600, 760), (40.0, 0, 0)] {
+            let t = SamplerTables::new(10_000, theta).unwrap();
+            // the early-stopping build leaves the unabridged running sum
+            let q = (-theta).exp();
+            let (mut sum, mut power) = (0.0f64, 1.0f64);
+            for &p in &t.prefix {
+                sum += power;
+                power *= q;
+                assert_eq!(p.to_bits(), sum.to_bits(), "θ={theta}");
+            }
+            assert!((lo..=hi).contains(&t.sat), "θ={theta}: sat = {}", t.sat);
+            assert_eq!(t.prefix[t.sat].to_bits(), t.total.to_bits());
+            assert!(t.sat == 0 || t.prefix[t.sat - 1] < t.total);
+            for (b, &g) in t.guide.iter().enumerate() {
+                let threshold = (b as f64 / GUIDE_BUCKETS as f64) * t.total;
+                let g = g as usize;
+                assert!(t.prefix[g] >= threshold && (g == 0 || t.prefix[g - 1] < threshold));
+            }
+        }
+        // θ = 0 never saturates: every stage gallops
+        assert_eq!(SamplerTables::new(500, 0.0).unwrap().sat, 499);
+        assert_eq!(SamplerTables::new(0, 0.6).unwrap().sat, 0);
+    }
+
+    /// Replays a fixed list of raw 64-bit words, cycling.
+    #[derive(Clone)]
+    struct Replay {
+        words: Arc<[u64]>,
+        at: usize,
+    }
+
+    impl rand::RngCore for Replay {
+        fn next_u64(&mut self) -> u64 {
+            let w = self.words[self.at % self.words.len()];
+            self.at += 1;
+            w
+        }
+    }
+
+    #[test]
+    fn guide_path_is_exact_at_bucket_boundaries() {
+        // f64 draws take the top 53 bits: bucket b starts at mantissa
+        // b·2⁴³ (word b << 54); also feed the mantissa just below each
+        // boundary and the largest one, 2⁵³ − 1
+        let mut words: Vec<u64> = Vec::new();
+        for b in 0..GUIDE_BUCKETS as u64 {
+            words.push(b << 54);
+            if b > 0 {
+                words.push((b << 54) - (1 << 11));
+            }
+        }
+        words.push(((1u64 << 53) - 1) << 11);
+        let words: Arc<[u64]> = words.into();
+        for theta in [1e-3, 0.05, 0.6, 2.0, 40.0] {
+            let n = 3000;
+            let t = SamplerTables::new(n, theta).unwrap();
+            for &w in words.iter() {
+                let stub = Replay {
+                    words: Arc::from([w]),
+                    at: 0,
+                };
+                for j in [(t.sat + 2).min(n), n] {
+                    assert_eq!(
+                        t.sample_stage(j, &mut stub.clone()),
+                        t.sample_stage_reference(j, &mut stub.clone()),
+                        "θ={theta} j={j} word={w:#x}"
+                    );
+                }
+            }
+            // whole codes over the cycling stream, stage for stage
+            let mut fast = Replay {
+                words: Arc::clone(&words),
+                at: 0,
+            };
+            let mut oracle = fast.clone();
+            let mut code = Vec::new();
+            for _ in 0..3 {
+                t.sample_code_into(n, &mut code, &mut fast);
+                let expect: Vec<usize> = (1..=n)
+                    .map(|j| t.sample_stage_reference(j, &mut oracle))
+                    .collect();
+                assert_eq!(code, expect, "θ={theta}");
+                assert_eq!(fast.at, oracle.at);
+            }
         }
     }
 

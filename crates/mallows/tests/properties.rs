@@ -1,5 +1,6 @@
 //! Property-based tests for the Mallows model family.
 
+use mallows_model::tables::SamplerTables;
 use mallows_model::{CayleyMallows, MallowsMixture, MallowsModel, TopKMallows};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -27,6 +28,31 @@ fn is_permutation_of(items: &[usize], n: usize) -> bool {
 }
 
 proptest! {
+    /// The guide-table stage sampler is the galloping search, draw for
+    /// draw: the same code stage for stage and the same RNG end state,
+    /// on both sides of the saturation point (θ = 0 never saturates,
+    /// θ = 40 saturates at index 0) and for centres shorter than the
+    /// table.
+    #[test]
+    fn sample_code_into_matches_the_galloping_oracle(seed in any::<u64>(), cut in any::<u64>()) {
+        for n in [1usize, 2, 61, 62, 1000, 10_000] {
+            for theta in [0.0, 1e-3, 0.05, 0.6, 2.0, 40.0] {
+                let tables = SamplerTables::new(n, theta).unwrap();
+                for len in [n, (cut % (n as u64 + 1)) as usize] {
+                    let mut fast = StdRng::seed_from_u64(seed);
+                    let mut oracle = fast.clone();
+                    let mut code = Vec::new();
+                    tables.sample_code_into(len, &mut code, &mut fast);
+                    let expect: Vec<usize> = (1..=len)
+                        .map(|j| tables.sample_stage_reference(j, &mut oracle))
+                        .collect();
+                    prop_assert_eq!(&code, &expect, "n={} θ={} len={}", n, theta, len);
+                    prop_assert_eq!(&fast, &oracle, "RNG state, n={} θ={} len={}", n, theta, len);
+                }
+            }
+        }
+    }
+
     #[test]
     fn kt_samples_are_valid(center in permutation(12), theta in 0.0f64..4.0, seed in any::<u64>()) {
         let model = MallowsModel::new(center, theta).unwrap();
