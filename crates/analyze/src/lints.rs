@@ -59,10 +59,14 @@ impl LintConfig {
                 "fairness_metrics",
                 "rank_aggregation",
                 "fair_mallows",
+                "fair_baselines",
             ]
             .map(str::to_string)
             .to_vec(),
             panic_free: [
+                "crates/engine/src/lib.rs",
+                "crates/engine/src/cache.rs",
+                "crates/engine/src/registry.rs",
                 "crates/engine/src/server.rs",
                 "crates/engine/src/batch.rs",
                 "crates/router/src/",

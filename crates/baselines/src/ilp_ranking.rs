@@ -33,7 +33,7 @@ use lp_solver::{Problem, Relation};
 use rand::Rng;
 use ranking_core::quality::Discount;
 use ranking_core::Permutation;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Build per-prefix integer bound tables relaxed by half-normal noise,
 /// as in the paper's noisy-ILP experiments. `sigma = 0` reproduces the
@@ -102,14 +102,16 @@ pub fn optimal_fair_ranking_dp(
 
     type State = Vec<u16>;
     // frontier: count-vector → best DCG so far
-    let mut frontier: HashMap<State, f64> = HashMap::new();
+    // ordered maps: equal-value paths tie-break by state order, so the
+    // result is the same in every process (hash order is per-process)
+    let mut frontier: BTreeMap<State, f64> = BTreeMap::new();
     frontier.insert(vec![0u16; g], 0.0);
     // parents[ℓ]: state after position ℓ+1 → group chosen at that position
-    let mut parents: Vec<HashMap<State, usize>> = Vec::with_capacity(n);
+    let mut parents: Vec<BTreeMap<State, usize>> = Vec::with_capacity(n);
 
     for l in 0..n {
-        let mut next: HashMap<State, f64> = HashMap::new();
-        let mut parent: HashMap<State, usize> = HashMap::new();
+        let mut next: BTreeMap<State, f64> = BTreeMap::new();
+        let mut parent: BTreeMap<State, usize> = BTreeMap::new();
         for (state, value) in &frontier {
             for p in 0..g {
                 let cnt = state[p] as usize;
@@ -264,6 +266,21 @@ mod tests {
 
     fn dcg(pi: &Permutation, scores: &[f64]) -> f64 {
         quality::dcg_at(pi, scores, scores.len(), Discount::Log2).unwrap()
+    }
+
+    #[test]
+    fn dp_breaks_score_ties_the_same_way_every_run() {
+        // equal scores leave many optimal group sequences; the chosen
+        // one must not depend on map iteration order
+        let scores = vec![0.5; 12];
+        let groups =
+            GroupAssignment::new((0..12).map(|i| usize::from(i % 3 == 0)).collect(), 2).unwrap();
+        let tables = FairnessBounds::from_assignment(&groups).tables(12);
+        let first = optimal_fair_ranking_dp(&scores, &groups, &tables, Discount::Log2).unwrap();
+        for _ in 0..16 {
+            let again = optimal_fair_ranking_dp(&scores, &groups, &tables, Discount::Log2).unwrap();
+            assert_eq!(again, first);
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::{BaselineError, Result};
 use fairness_metrics::bounds::BoundTables;
 use fairness_metrics::GroupAssignment;
 use ranking_core::Permutation;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Exact minimum-KT fair re-ranking of `sigma` under per-prefix bound
 /// tables (any number of groups).
@@ -74,14 +74,16 @@ pub fn optimal_fair_ranking_kt(
 
     // Forward DP over count vectors, layer by prefix length (sum of
     // counts); parents stored for reconstruction.
-    let mut layer: HashMap<Vec<usize>, u64> = HashMap::new();
+    // ordered maps: equal-value paths tie-break by state order, so the
+    // result is the same in every process (hash order is per-process)
+    let mut layer: BTreeMap<Vec<usize>, u64> = BTreeMap::new();
     layer.insert(vec![0usize; g], 0);
     // parent[(counts)] = group appended to reach `counts`
-    let mut parents: Vec<HashMap<Vec<usize>, usize>> = Vec::with_capacity(n);
+    let mut parents: Vec<BTreeMap<Vec<usize>, usize>> = Vec::with_capacity(n);
 
     for k in 1..=n {
-        let mut next: HashMap<Vec<usize>, u64> = HashMap::new();
-        let mut parent: HashMap<Vec<usize>, usize> = HashMap::new();
+        let mut next: BTreeMap<Vec<usize>, u64> = BTreeMap::new();
+        let mut parent: BTreeMap<Vec<usize>, usize> = BTreeMap::new();
         for (counts, &cost) in &layer {
             for p in 0..g {
                 if counts[p] >= sizes[p] {

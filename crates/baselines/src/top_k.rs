@@ -17,7 +17,7 @@ use crate::{BaselineError, Result};
 use fairness_metrics::{FairnessBounds, GroupAssignment};
 use ranking_core::quality::Discount;
 use ranking_core::Permutation;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Which prefixes of the shortlist must satisfy the bounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,14 +74,16 @@ pub fn fair_top_k(
     }
 
     type State = Vec<u16>;
-    let mut frontier: HashMap<State, f64> = HashMap::new();
+    // ordered maps: equal-value paths tie-break by state order, so the
+    // result is the same in every process (hash order is per-process)
+    let mut frontier: BTreeMap<State, f64> = BTreeMap::new();
     frontier.insert(vec![0u16; g], 0.0);
-    let mut parents: Vec<HashMap<State, usize>> = Vec::with_capacity(k);
+    let mut parents: Vec<BTreeMap<State, usize>> = Vec::with_capacity(k);
 
     for l in 0..k {
         let enforce = mode == FairnessMode::Strong || l + 1 == k;
-        let mut next: HashMap<State, f64> = HashMap::new();
-        let mut parent: HashMap<State, usize> = HashMap::new();
+        let mut next: BTreeMap<State, f64> = BTreeMap::new();
+        let mut parent: BTreeMap<State, usize> = BTreeMap::new();
         for (state, value) in &frontier {
             for p in 0..g {
                 let cnt = state[p] as usize;
@@ -157,7 +159,7 @@ pub fn fair_top_k_ranking(
     discount: Discount,
 ) -> Result<Permutation> {
     let head = fair_top_k(scores, groups, bounds, k, mode, discount)?;
-    let chosen: std::collections::HashSet<usize> = head.iter().copied().collect();
+    let chosen: std::collections::BTreeSet<usize> = head.iter().copied().collect();
     let mut rest: Vec<usize> = (0..scores.len()).filter(|i| !chosen.contains(i)).collect();
     rest.sort_by(|&a, &b| {
         scores[b]
@@ -181,6 +183,29 @@ mod tests {
         let groups = GroupAssignment::binary_split(10, 5);
         let bounds = FairnessBounds::from_assignment(&groups);
         (scores, groups, bounds)
+    }
+
+    #[test]
+    fn score_ties_break_the_same_way_every_run() {
+        // equal scores leave many optimal shortlists; the chosen one
+        // must not depend on map iteration order
+        let scores = vec![1.0; 10];
+        let groups = GroupAssignment::binary_split(10, 5);
+        let bounds = FairnessBounds::from_assignment(&groups);
+        let run = || {
+            fair_top_k(
+                &scores,
+                &groups,
+                &bounds,
+                6,
+                FairnessMode::Weak,
+                Discount::Log2,
+            )
+        };
+        let first = run().unwrap();
+        for _ in 0..16 {
+            assert_eq!(run().unwrap(), first);
+        }
     }
 
     #[test]

@@ -7,11 +7,9 @@
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use fairrank_engine::job::{JobInput, JobParams, RankJob};
-use fairrank_engine::registry::Registry;
+use fairrank_engine::registry::{self, Registry};
 use fairrank_engine::tables::ExecContext;
 use fairrank_engine::{Engine, EngineConfig};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
@@ -70,10 +68,7 @@ fn bench_cold_vs_cached(c: &mut Criterion) {
     let job = mallows_job(n, 1);
     let ctx = ExecContext::default();
     g.bench_function("direct", |b| {
-        b.iter(|| {
-            let mut rng = StdRng::seed_from_u64(job.params.seed);
-            black_box(algo.run(&job, &ctx, &mut rng).unwrap())
-        });
+        b.iter(|| black_box(registry::execute(&*algo, &job, &ctx).unwrap()));
     });
     g.finish();
 }

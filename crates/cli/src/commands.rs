@@ -4,17 +4,13 @@
 use crate::args::Args;
 use crate::csv::{CandidateTable, VoteProfile};
 use crate::{CliError, Result};
-use fair_baselines::{
-    approx_multi_valued_ipf, det_const_sort, fa_ir, optimal_fair_ranking_dp, weakly_fair_ranking,
-    DetConstSortConfig, FaIrConfig, FairnessMode, IpfConfig,
-};
-use fair_mallows::{Criterion, MallowsFairRanker};
 use fairness_metrics::{divergence, exposure, infeasible, FairnessBounds};
-use fairness_ranking::pipeline::PipelineSpec;
+use fairrank_engine::job::{Criterion, JobInput, JobParams, RankJob, RankResult};
+use fairrank_engine::registry::{self, AlgorithmKind, Registry};
+use fairrank_engine::tables::ExecContext;
 use mallows_model::MallowsModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rank_aggregation::markov::{markov_chain_aggregate, MarkovConfig};
 use ranking_core::quality::{self, Discount};
 use ranking_core::Permutation;
 
@@ -275,152 +271,88 @@ pub fn analyze(args: &Args) -> Result<String> {
     }
 }
 
+/// The job parameters every job-running command (`rank`, `aggregate`,
+/// `pipeline`) reads from its flags, with the engine's defaults except
+/// `--samples`, whose default each command passes in.
+fn job_params(args: &Args, default_samples: usize) -> Result<JobParams> {
+    let defaults = JobParams::default();
+    let criterion = args.get("criterion").unwrap_or(defaults.criterion.as_str());
+    Ok(JobParams {
+        theta: args.get_f64("theta", defaults.theta)?,
+        samples: args.get_usize("samples", default_samples)?,
+        criterion: Criterion::parse(criterion).ok_or_else(|| {
+            CliError::Usage(format!(
+                "unknown criterion `{criterion}` (expected ndcg, infeasible or kendall)"
+            ))
+        })?,
+        tolerance: args.get_f64("tolerance", defaults.tolerance)?,
+        k: args.get("k").map(|_| args.get_usize("k", 0)).transpose()?,
+        seed: args.get_u64("seed", defaults.seed)?,
+        proportion: args
+            .get("proportion")
+            .map(|_| args.get_f64("proportion", 0.0))
+            .transpose()?,
+        alpha: args.get_f64("alpha", defaults.alpha)?,
+        ..defaults
+    })
+}
+
+/// Run `job` in-process through the engine's registry, by the same
+/// [`registry::execute`] step the engine's workers run, so the result
+/// is the one `POST /rank` (`/aggregate`, `/pipeline`) returns for the
+/// job. A name that is not an algorithm of `kind` is a usage error
+/// naming the command's `flag`.
+fn run_job(job: &RankJob, kind: AlgorithmKind, flag: &str) -> Result<RankResult> {
+    let registry = Registry::standard();
+    let algorithm = registry
+        .get(&job.algorithm)
+        .filter(|a| a.kind() == kind)
+        .ok_or_else(|| CliError::Usage(format!("unknown {flag} `{}`", job.algorithm)))?;
+    Ok(registry::execute(
+        &*algorithm,
+        job,
+        &ExecContext::default(),
+    )?)
+}
+
+/// Append a result's metrics as `# name,value` footer lines, in order:
+/// NDCG values to 6 decimals, the P-fair percentage to 2, counts as
+/// plain integers.
+fn render_footer(metrics: &[(String, f64)], out: &mut String) {
+    for (name, value) in metrics {
+        out.push_str(&match name.as_str() {
+            n if n.starts_with("ndcg_") => format!("# {name},{value:.6}\n"),
+            "pfair_percentage" => format!("# {name},{value:.2}\n"),
+            _ => format!("# {name},{value}\n"),
+        });
+    }
+}
+
 /// `fairrank rank`: fair post-processing of a candidate CSV.
 pub fn rank(args: &Args) -> Result<String> {
     let table = CandidateTable::read_with_jobs(args.require("input")?, args.get_usize("jobs", 0)?)?;
-    let algorithm = args.require("algorithm")?;
-    let tolerance = args.get_f64("tolerance", 0.1)?;
-    let theta = args.get_f64("theta", 1.0)?;
-    let samples = args.get_usize("samples", 1)?;
-    let k = args.get_usize("k", table.len())?;
-    let seed = args.get_u64("seed", 42)?;
-    let mut rng = StdRng::seed_from_u64(seed);
-
-    let bounds = FairnessBounds::from_assignment_with_tolerance(&table.groups, tolerance);
-    let mut mallows_abandoned: Option<u64> = None;
-    let order: Vec<usize> = match algorithm {
-        "weakly-fair" => weakly_fair_ranking(&table.scores, &table.groups, &bounds).into_order(),
-        "mallows" => {
-            // selection criterion for best-of-m (paper Algorithm 1):
-            // utility (default), known-group fairness, or closeness to
-            // the centre ranking
-            let criterion = match args.get("criterion").unwrap_or("ndcg") {
-                "ndcg" => Criterion::MaxNdcg(table.scores.clone()),
-                "infeasible" => Criterion::MinInfeasibleIndex {
-                    groups: table.groups.clone(),
-                    bounds: bounds.clone(),
-                },
-                "kendall" => Criterion::MinKendallTau,
-                other => {
-                    return Err(CliError::Usage(format!(
-                        "unknown criterion `{other}` (expected ndcg, infeasible or kendall)"
-                    )));
-                }
-            };
-            let ranker = MallowsFairRanker::new(theta, samples, criterion).map_err(algo_err)?;
-            let center = weakly_fair_ranking(&table.scores, &table.groups, &bounds);
-            let ranked = ranker.rank(&center, &mut rng).map_err(algo_err)?;
-            mallows_abandoned = Some(ranked.samples_abandoned);
-            ranked.ranking.into_order()
-        }
-        "detconstsort" => det_const_sort(
-            &table.scores,
-            &table.groups,
-            &bounds,
-            &DetConstSortConfig::default(),
-            &mut rng,
-        )
-        .map_err(algo_err)?
-        .into_order(),
-        "ipf" => {
-            // IPF post-processes the weakly-fair ranking (the paper's
-            // pipeline input) — same input as the engine registry
-            let sigma = weakly_fair_ranking(&table.scores, &table.groups, &bounds);
-            approx_multi_valued_ipf(
-                &sigma,
-                &table.groups,
-                &bounds,
-                &IpfConfig::default(),
-                &mut rng,
-            )
-            .map_err(algo_err)?
-            .ranking
-            .into_order()
-        }
-        "exact-kt" => {
-            let sigma = Permutation::sorted_by_scores_desc(&table.scores);
-            fair_baselines::optimal_fair_ranking_kt(
-                &sigma,
-                &table.groups,
-                &bounds.tables(table.len()),
-            )
-            .map_err(algo_err)?
-            .into_order()
-        }
-        "ilp" => {
-            let tables = bounds.tables(table.len());
-            optimal_fair_ranking_dp(&table.scores, &table.groups, &tables, Discount::Log2)
-                .map_err(algo_err)?
-                .into_order()
-        }
-        "fair-top-k" => fair_baselines::fair_top_k(
-            &table.scores,
-            &table.groups,
-            &bounds,
-            k,
-            FairnessMode::Weak,
-            Discount::Log2,
-        )
-        .map_err(algo_err)?,
-        "fa-ir" => {
-            let protected_label = args
-                .get("protected")
-                .unwrap_or(&table.group_labels[0])
-                .to_string();
-            let protected = table
-                .group_labels
-                .iter()
-                .position(|l| *l == protected_label)
-                .ok_or_else(|| {
-                    CliError::Usage(format!("unknown group label `{protected_label}`"))
-                })?;
-            let share = table.groups.proportions()[protected];
-            let config = FaIrConfig {
-                min_proportion: args.get_f64("proportion", share)?,
-                significance: args.get_f64("alpha", 0.1)?,
-                adjust: true,
-            };
-            fa_ir(&table.scores, &table.groups, protected, k, &config).map_err(algo_err)?
-        }
-        other => {
-            return Err(CliError::Usage(format!("unknown algorithm `{other}`")));
-        }
+    let protected = match args.get("protected") {
+        None => 0,
+        Some(label) => table
+            .group_labels
+            .iter()
+            .position(|l| l == label)
+            .ok_or_else(|| CliError::Usage(format!("unknown group label `{label}`")))?,
     };
-
-    let mut out = table.render_ranking(&order);
-    // summary footer: utility + fairness of the produced (possibly
-    // truncated) ranking, measured over the selected items.
-    let sub_scores: Vec<f64> = order.iter().map(|&i| table.scores[i]).collect();
-    let sub_groups = table.groups.subset(&order);
-    let sub_bounds = FairnessBounds::from_assignment_with_tolerance(&sub_groups, tolerance);
-    let pi = Permutation::identity(order.len());
-    let ndcg = quality::ndcg(&pi, &sub_scores).map_err(algo_err)?;
-    // NDCG against the full pool's ideal, meaningful for shortlists:
-    let mut ideal = table.scores.clone();
-    ideal.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
-    let pool_idcg: f64 = ideal
-        .iter()
-        .take(order.len())
-        .enumerate()
-        .map(|(i, s)| s * Discount::Log2.at(i + 1))
-        .sum();
-    let dcg: f64 = sub_scores
-        .iter()
-        .enumerate()
-        .map(|(i, s)| s * Discount::Log2.at(i + 1))
-        .sum();
-    let ii =
-        infeasible::two_sided_infeasible_index(&pi, &sub_groups, &sub_bounds).map_err(algo_err)?;
-    let pf = infeasible::pfair_percentage(&pi, &sub_groups, &sub_bounds).map_err(algo_err)?;
-    out.push_str(&format!("# ndcg_within_selection,{ndcg:.6}\n"));
-    if pool_idcg > 0.0 {
-        out.push_str(&format!("# ndcg_vs_pool,{:.6}\n", dcg / pool_idcg));
-    }
-    out.push_str(&format!("# infeasible_index,{ii}\n"));
-    out.push_str(&format!("# pfair_percentage,{pf:.2}\n"));
-    if let Some(abandoned) = mallows_abandoned {
-        out.push_str(&format!("# criterion_samples_abandoned,{abandoned}\n"));
-    }
+    let job = RankJob {
+        algorithm: args.require("algorithm")?.to_string(),
+        input: JobInput::Scores {
+            scores: table.scores.clone(),
+            groups: table.groups.as_slice().to_vec(),
+        },
+        params: JobParams {
+            protected,
+            ..job_params(args, 1)?
+        },
+    };
+    let result = run_job(&job, AlgorithmKind::PostProcessor, "algorithm")?;
+    let mut out = table.render_ranking(&result.ranking);
+    render_footer(&result.metrics, &mut out);
     Ok(out)
 }
 
@@ -509,38 +441,26 @@ pub fn sample(args: &Args) -> Result<String> {
 pub fn pipeline(args: &Args) -> Result<String> {
     let profile = VoteProfile::read_with_jobs(args.require("input")?, args.get_usize("jobs", 0)?)?;
     let groups = read_group_map(args.require("groups")?, &profile.labels)?;
-    let tolerance = args.get_f64("tolerance", 0.1)?;
-    let theta = args.get_f64("theta", 1.0)?;
-    let samples = args.get_usize("samples", 15)?;
-    let seed = args.get_u64("seed", 42)?;
-    let method = args.get("method").unwrap_or("kemeny");
-    let post = args.get("post").unwrap_or("mallows");
-    // one naming authority for stages, shared with the serving engine's
-    // registry and the HTTP API
-    let spec = PipelineSpec::parse(method, post, theta, samples).ok_or_else(|| {
-        CliError::Usage(format!(
-            "unknown pipeline stage `--method {method}` / `--post {post}`"
-        ))
-    })?;
-    let bounds = FairnessBounds::from_assignment_with_tolerance(&groups, tolerance);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let out = spec
-        .build()
-        .run(&profile.votes, &groups, &bounds, &mut rng)
-        .map_err(algo_err)?;
-    let mut text = String::new();
-    text.push_str(&format!("consensus,{}\n", profile.render(&out.consensus)));
-    text.push_str(&format!("fair,{}\n", profile.render(&out.fair_ranking)));
-    text.push_str(&format!(
-        "# consensus_total_kt,{}\n",
-        out.consensus_total_kt
-    ));
-    text.push_str(&format!("# fair_total_kt,{}\n", out.fair_total_kt));
-    text.push_str(&format!(
-        "# consensus_infeasible,{}\n",
-        out.consensus_infeasible
-    ));
-    text.push_str(&format!("# fair_infeasible,{}\n", out.fair_infeasible));
+    let job = RankJob {
+        algorithm: "pipeline".to_string(),
+        input: JobInput::Votes {
+            votes: profile.vote_orders(),
+            groups,
+        },
+        params: JobParams {
+            method: args.get("method").unwrap_or("kemeny").to_string(),
+            post: args.get("post").unwrap_or("mallows").to_string(),
+            ..job_params(args, 15)?
+        },
+    };
+    let result = run_job(&job, AlgorithmKind::Pipeline, "algorithm")?;
+    let consensus = result.consensus.as_deref().unwrap_or_default();
+    let mut text = format!(
+        "consensus,{}\nfair,{}\n",
+        profile.render(consensus),
+        profile.render(&result.ranking)
+    );
+    render_footer(&result.metrics, &mut text);
     Ok(text)
 }
 
@@ -586,9 +506,10 @@ pub fn index(args: &Args) -> Result<String> {
     ))
 }
 
-/// Parse a `label,group` CSV mapping each vote label to a group,
-/// streaming through the shared reader.
-fn read_group_map(path: &str, labels: &[String]) -> Result<fairness_metrics::GroupAssignment> {
+/// Parse a `label,group` CSV mapping each vote label to a dense group
+/// id (in order of first appearance), streaming through the shared
+/// reader.
+fn read_group_map(path: &str, labels: &[String]) -> Result<Vec<usize>> {
     let src = fairrank_dataset::open_file(path).map_err(|e| CliError::Input(e.to_string()))?;
     let mut reader = fairrank_dataset::CsvReader::new(src).comment(b'#');
     let mut group_of: Vec<Option<usize>> = vec![None; labels.len()];
@@ -617,7 +538,7 @@ fn read_group_map(path: &str, labels: &[String]) -> Result<fairness_metrics::Gro
         };
         group_of[item] = Some(gid);
     }
-    let dense: Vec<usize> = group_of
+    group_of
         .iter()
         .enumerate()
         .map(|(i, g)| {
@@ -625,35 +546,24 @@ fn read_group_map(path: &str, labels: &[String]) -> Result<fairness_metrics::Gro
                 CliError::Input(format!("label `{}` has no group assignment", labels[i]))
             })
         })
-        .collect::<Result<_>>()?;
-    fairness_metrics::GroupAssignment::new(dense, group_labels.len().max(1))
-        .map_err(|e| CliError::Input(e.to_string()))
+        .collect()
 }
 
 /// `fairrank aggregate`: consensus ranking of a vote profile.
 pub fn aggregate(args: &Args) -> Result<String> {
     let profile = VoteProfile::read_with_jobs(args.require("input")?, args.get_usize("jobs", 0)?)?;
-    let method = args.require("method")?;
-    let seed = args.get_u64("seed", 42)?;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let consensus = match method {
-        "borda" => rank_aggregation::borda(&profile.votes).map_err(algo_err)?,
-        "copeland" => rank_aggregation::copeland(&profile.votes).map_err(algo_err)?,
-        "footrule" => rank_aggregation::footrule_optimal(&profile.votes).map_err(algo_err)?,
-        "kemeny" => {
-            let start = rank_aggregation::kwik_sort(&profile.votes, &mut rng).map_err(algo_err)?;
-            rank_aggregation::local_search(&start, &profile.votes).map_err(algo_err)?
-        }
-        "markov" => {
-            markov_chain_aggregate(&profile.votes, &MarkovConfig::default()).map_err(algo_err)?
-        }
-        other => return Err(CliError::Usage(format!("unknown method `{other}`"))),
+    let job = RankJob {
+        algorithm: args.require("method")?.to_string(),
+        input: JobInput::Votes {
+            votes: profile.vote_orders(),
+            groups: Vec::new(),
+        },
+        params: job_params(args, 15)?,
     };
-    let total =
-        rank_aggregation::total_kendall_distance(&consensus, &profile.votes).map_err(algo_err)?;
-    let mut out = profile.render(&consensus);
+    let result = run_job(&job, AlgorithmKind::Aggregator, "method")?;
+    let mut out = profile.render(&result.ranking);
     out.push('\n');
-    out.push_str(&format!("# total_kendall_distance,{total}\n"));
+    render_footer(&result.metrics, &mut out);
     Ok(out)
 }
 
@@ -709,6 +619,7 @@ mod tests {
             "ipf",
             "ilp",
             "exact-kt",
+            "gr-binary",
             "weakly-fair",
         ] {
             let out = rank(&args(&[

@@ -371,9 +371,14 @@ impl VoteProfile {
         Self::read_with_jobs(path, 0)
     }
 
-    /// Render a consensus permutation as a label line.
-    pub fn render(&self, pi: &Permutation) -> String {
-        pi.as_order()
+    /// The votes as item-index orders (a job's `votes` input).
+    pub fn vote_orders(&self) -> Vec<Vec<usize>> {
+        self.votes.iter().map(|v| v.as_order().to_vec()).collect()
+    }
+
+    /// Render a ranking (item indices in rank order) as a label line.
+    pub fn render(&self, order: &[usize]) -> String {
+        order
             .iter()
             .map(|&i| self.labels[i].as_str())
             .collect::<Vec<_>>()
@@ -470,7 +475,7 @@ mod tests {
     #[test]
     fn vote_render_round_trips() {
         let v = VoteProfile::parse("a,b,c\nc,b,a\n").unwrap();
-        assert_eq!(v.render(&v.votes[1]), "c,b,a");
+        assert_eq!(v.render(v.votes[1].as_order()), "c,b,a");
     }
 
     #[test]

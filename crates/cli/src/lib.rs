@@ -14,6 +14,12 @@
 //! * [`commands::index`] — build a `.frix` sidecar index so the file
 //!   commands above can ingest chunk-parallel (`--jobs`).
 //!
+//! `rank`, `aggregate` and `pipeline` build a
+//! [`RankJob`](fairrank_engine::job::RankJob) from their files and
+//! flags and run it in-process through the engine's
+//! [`Registry`](fairrank_engine::registry::Registry), so their output
+//! matches what `fairrank serve` returns for the same job.
+//!
 //! File formats are deliberately minimal (`id,score,group` rows for
 //! candidates; one comma-separated ranking per line for votes) and are
 //! documented in [`csv`].
@@ -63,6 +69,22 @@ impl std::error::Error for CliError {
     }
 }
 
+/// In-process job errors: an unknown algorithm or a malformed job is
+/// a usage error (exit 2), an algorithm failure keeps its source chain
+/// (exit 1).
+impl From<fairrank_engine::EngineError> for CliError {
+    fn from(e: fairrank_engine::EngineError) -> Self {
+        use fairrank_engine::EngineError;
+        match e {
+            EngineError::UnknownAlgorithm(_) | EngineError::InvalidJob(_) => {
+                CliError::Usage(e.to_string())
+            }
+            EngineError::Algorithm(source) => CliError::Algorithm(source),
+            EngineError::Overloaded | EngineError::ShuttingDown => CliError::Algorithm(Box::new(e)),
+        }
+    }
+}
+
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, CliError>;
 
@@ -89,7 +111,7 @@ COMMANDS:
 RANK:
     fairrank rank --input FILE --algorithm ALGO [--output FILE]
         --algorithm   mallows | detconstsort | ipf | ilp | exact-kt |
-                      fair-top-k | fa-ir | weakly-fair
+                      gr-binary | fair-top-k | fa-ir | weakly-fair
         --theta       Mallows dispersion θ           (default 1.0)
         --samples     Mallows best-of-m samples      (default 1)
         --criterion   mallows selection criterion    (default ndcg)
@@ -231,3 +253,62 @@ Candidate CSV: one `id,score,group` row per candidate (header allowed).
 Vote CSV: one comma-separated ranking of item labels per line.
 All randomized commands accept --seed; equal seeds give equal output.
 ";
+
+#[cfg(test)]
+mod tests {
+    use super::USAGE;
+    use fairness_ranking::pipeline::Aggregator;
+    use fairrank_engine::job::Criterion;
+    use fairrank_engine::registry::{AlgorithmKind, Registry};
+
+    /// The `|`-separated names listed under `flag` in the `section`
+    /// block of [`USAGE`], up to the next flag.
+    fn listed(section: &str, flag: &str) -> Vec<String> {
+        let (_, rest) = USAGE
+            .split_once(&format!("\n{section}:\n"))
+            .unwrap_or_else(|| panic!("no {section} section"));
+        let block = rest.split("\n\n").next().unwrap_or("");
+        let mut names = Vec::new();
+        let mut in_flag = false;
+        for line in block.lines().map(str::trim) {
+            if line.starts_with("--") {
+                in_flag = line.starts_with(&format!("{flag} "));
+            }
+            // the list starts on the flag's own line or the next one
+            let list = line.strip_prefix(flag).unwrap_or(line);
+            if in_flag && list.contains('|') {
+                names.extend(list.split('|').map(|n| n.trim().to_string()));
+            }
+        }
+        names.retain(|n| !n.is_empty());
+        names
+    }
+
+    #[test]
+    fn usage_lists_every_registered_name() {
+        let registry = Registry::standard();
+        let algorithms = listed("RANK", "--algorithm");
+        for name in registry.names_of_kind(AlgorithmKind::PostProcessor) {
+            assert!(
+                algorithms.iter().any(|n| n == name),
+                "rank --algorithm misses {name}"
+            );
+        }
+        let methods = listed("AGGREGATE", "--method");
+        for aggregator in Aggregator::ALL {
+            let name = aggregator.name();
+            assert!(
+                methods.iter().any(|n| n == name),
+                "aggregate --method misses {name}"
+            );
+        }
+        let criteria = listed("RANK", "--criterion");
+        for criterion in Criterion::ALL {
+            let name = criterion.as_str();
+            assert!(
+                criteria.iter().any(|n| n == name),
+                "rank --criterion misses {name}"
+            );
+        }
+    }
+}

@@ -281,6 +281,59 @@ fn usage_errors_exit_2_and_algorithm_errors_exit_1() {
         Some(1),
         "missing input is an input error"
     );
+
+    // a registered name of the wrong kind, an unknown criterion and an
+    // unknown pipeline stage are usage errors too
+    wrk.create("votes.csv", &[vec!["a", "b", "c"], vec!["b", "a", "c"]]);
+    wrk.create(
+        "groups.csv",
+        &[vec!["a", "x"], vec!["b", "x"], vec!["c", "y"]],
+    );
+    for (command, args) in [
+        ("rank", &["--input", "pool.csv", "--algorithm", "borda"][..]),
+        (
+            "rank",
+            &[
+                "--input",
+                "pool.csv",
+                "--algorithm",
+                "mallows",
+                "--criterion",
+                "luck",
+            ],
+        ),
+        (
+            "aggregate",
+            &["--input", "votes.csv", "--method", "mallows"],
+        ),
+        (
+            "pipeline",
+            &[
+                "--input",
+                "votes.csv",
+                "--groups",
+                "groups.csv",
+                "--post",
+                "magic",
+            ],
+        ),
+    ] {
+        let mut cmd = wrk.command(command);
+        cmd.args(args);
+        let out = wrk.output(&mut cmd);
+        assert_eq!(out.status.code(), Some(2), "{command} {args:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("usage error"));
+    }
+
+    // GrBinaryIPF handles exactly two groups: three is an algorithm error
+    let mut rows = candidate_rows();
+    rows[1][2] = "g3";
+    wrk.create("three_groups.csv", &rows);
+    let mut cmd = wrk.command("rank");
+    cmd.args(["--input", "three_groups.csv", "--algorithm", "gr-binary"]);
+    let out = wrk.output(&mut cmd);
+    assert_eq!(out.status.code(), Some(1), "algorithm failure exits 1");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("algorithm error"));
 }
 
 #[test]

@@ -11,6 +11,7 @@
 //! different digests no longer serialize on one cache-wide lock.
 
 use crate::job::RankResult;
+use crate::lock_recover;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -194,24 +195,18 @@ impl ShardedLru {
     /// Look up a digest, marking the entry most-recently-used within
     /// its shard.
     pub fn get(&self, key: u64) -> Option<Arc<RankResult>> {
-        self.shard(key).lock().expect("cache shard lock").get(key)
+        lock_recover(self.shard(key)).get(key)
     }
 
     /// Insert (or refresh) a result, evicting within the key's shard
     /// when that shard is full.
     pub fn insert(&self, key: u64, value: Arc<RankResult>) {
-        self.shard(key)
-            .lock()
-            .expect("cache shard lock")
-            .insert(key, value);
+        lock_recover(self.shard(key)).insert(key, value);
     }
 
     /// Number of cached results across all shards.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard lock").len())
-            .sum()
+        self.shards.iter().map(|s| lock_recover(s).len()).sum()
     }
 
     /// True when nothing is cached.
@@ -221,10 +216,7 @@ impl ShardedLru {
 
     /// Total capacity (per-shard capacity × shard count).
     pub fn capacity(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard lock").capacity())
-            .sum()
+        self.shards.iter().map(|s| lock_recover(s).capacity()).sum()
     }
 
     /// Number of shards.
@@ -277,6 +269,27 @@ mod tests {
         c.insert(3, result(3)); // evicts 2
         assert_eq!(c.get(1).unwrap().ranking, vec![11]);
         assert!(c.get(2).is_none());
+    }
+
+    #[test]
+    fn poisoned_shard_keeps_serving() {
+        // a holder that panics mid-update poisons the shard's mutex;
+        // the LRU it guards is still structurally valid, so lookups,
+        // inserts, `len` and `capacity` must recover instead of panicking
+        let cache = Arc::new(ShardedLru::new(4, 1));
+        cache.insert(1, result(1));
+        let poisoner = Arc::clone(&cache);
+        let joined = std::thread::spawn(move || {
+            let _guard = poisoner.shards[0].lock().unwrap();
+            panic!("poison the shard");
+        })
+        .join();
+        assert!(joined.is_err());
+        assert!(cache.shards[0].is_poisoned());
+        assert_eq!(cache.get(1).unwrap().ranking, vec![1]);
+        cache.insert(2, result(2));
+        assert_eq!(cache.get(2).unwrap().ranking, vec![2]);
+        assert_eq!((cache.len(), cache.capacity()), (2, 4));
     }
 
     #[test]

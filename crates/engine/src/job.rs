@@ -52,15 +52,48 @@ impl JobInput {
     }
 }
 
-/// Tunable parameters of a job. Every field has the same default as
-/// the `fairrank` CLI, so a job submitted over HTTP with no parameters
-/// behaves exactly like the equivalent CLI invocation.
+/// Best-of-`m` selection criterion of the `mallows` algorithm (paper
+/// Algorithm 1): which of the `m` Mallows samples is kept.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Criterion {
+    /// Highest NDCG against the job's scores (utility).
+    Ndcg,
+    /// Smallest infeasible index w.r.t. the job's known groups.
+    Infeasible,
+    /// Smallest Kendall tau distance to the centre ranking.
+    Kendall,
+}
+
+impl Criterion {
+    /// Every criterion, in documentation order.
+    pub const ALL: [Criterion; 3] = [Criterion::Ndcg, Criterion::Infeasible, Criterion::Kendall];
+
+    /// The name used by `--criterion` and the HTTP `criterion` field.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Criterion::Ndcg => "ndcg",
+            Criterion::Infeasible => "infeasible",
+            Criterion::Kendall => "kendall",
+        }
+    }
+
+    /// Parse a criterion name (`ndcg`, `infeasible` or `kendall`).
+    pub fn parse(name: &str) -> Option<Criterion> {
+        Criterion::ALL.into_iter().find(|c| c.as_str() == name)
+    }
+}
+
+/// Tunable parameters of a job. The defaults are the HTTP API's; the
+/// `fairrank` CLI shares all of them except `samples`, which `rank`
+/// defaults to 1 (`aggregate` and `pipeline` use 15, like this type).
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobParams {
     /// Mallows dispersion θ.
     pub theta: f64,
     /// Mallows best-of-`m` sample count.
     pub samples: usize,
+    /// Mallows best-of-`m` selection criterion.
+    pub criterion: Criterion,
     /// Fairness proportion tolerance.
     pub tolerance: f64,
     /// Constraint-noise standard deviation σ for the noise-robustness
@@ -88,6 +121,7 @@ impl Default for JobParams {
         JobParams {
             theta: 1.0,
             samples: 15,
+            criterion: Criterion::Ndcg,
             tolerance: 0.1,
             noise_sd: 0.0,
             k: None,
@@ -121,9 +155,9 @@ impl RankJob {
         let p = &self.params;
         let _ = write!(
             s,
-            "algo={};theta={};samples={};tol={};noise={};k={:?};seed={};method={};post={};prot={};prop={:?};alpha={};",
-            self.algorithm, p.theta, p.samples, p.tolerance, p.noise_sd, p.k, p.seed, p.method,
-            p.post, p.protected, p.proportion, p.alpha
+            "algo={};theta={};samples={};crit={};tol={};noise={};k={:?};seed={};method={};post={};prot={};prop={:?};alpha={};",
+            self.algorithm, p.theta, p.samples, p.criterion.as_str(), p.tolerance, p.noise_sd, p.k,
+            p.seed, p.method, p.post, p.protected, p.proportion, p.alpha
         );
         match &self.input {
             JobInput::Scores { scores, groups } => {
@@ -286,6 +320,17 @@ mod tests {
             scores[0] = 0.91;
         }
         assert_ne!(a.digest(), b.digest());
+    }
+
+    #[test]
+    fn digest_sees_criterion_changes() {
+        let mut b = job(1);
+        b.params.criterion = Criterion::Kendall;
+        assert_ne!(job(1).digest(), b.digest());
+        for c in Criterion::ALL {
+            assert_eq!(Criterion::parse(c.as_str()), Some(c));
+        }
+        assert_eq!(Criterion::parse("utility"), None);
     }
 
     #[test]

@@ -60,8 +60,6 @@ use batch::JobStore;
 use cache::ShardedLru;
 use job::{RankJob, RankResult};
 use pool::{SubmitError, WorkerPool};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use registry::Registry;
 use stats::{
     EngineStats, JobOrigin, LatencyHistogram, MetricFamily, MetricSample, MetricValue, RouteClass,
@@ -644,7 +642,7 @@ impl Engine {
         // outcome, so the completing owner never blocks on the send
         let (tx, rx) = mpsc::sync_channel::<JobOutcome>(1);
         {
-            let mut inflight = self.inflight.lock().expect("inflight lock");
+            let mut inflight = lock_recover(&self.inflight);
             if let Some(hit) = self.cache.get(key) {
                 EngineStats::bump(&self.stats.cache_hits);
                 if let Some(t) = trace {
@@ -686,7 +684,6 @@ impl Engine {
                     .queue_us
                     .store(duration_us(waited), Ordering::Relaxed);
             }
-            let mut rng = StdRng::seed_from_u64(job.params.seed);
             let exec_traced;
             let exec = match &trace {
                 Some(t) => {
@@ -700,7 +697,7 @@ impl Engine {
             // coalesce onto a dead execution and hang
             let run_started = Instant::now();
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                algorithm.run(&job, exec, &mut rng)
+                registry::execute(&*algorithm, &job, exec)
             }))
             .unwrap_or_else(|_| {
                 Err(EngineError::Algorithm(
@@ -737,10 +734,7 @@ impl Engine {
                     Err(e)
                 }
             };
-            let waiters = engine
-                .inflight
-                .lock()
-                .expect("inflight lock")
+            let waiters = lock_recover(&engine.inflight)
                 .remove(&key)
                 .unwrap_or_default();
             for waiter in waiters {
@@ -759,10 +753,7 @@ impl Engine {
             Err(rejection) => {
                 // disband the in-flight entry; anyone who coalesced
                 // onto it in the meantime is told to retry
-                let waiters = self
-                    .inflight
-                    .lock()
-                    .expect("inflight lock")
+                let waiters = lock_recover(&self.inflight)
                     .remove(&key)
                     .unwrap_or_default();
                 for waiter in waiters {
@@ -785,6 +776,7 @@ impl Engine {
 mod tests {
     use super::*;
     use job::{JobInput, JobParams};
+    use rand::rngs::StdRng;
 
     fn engine() -> Arc<Engine> {
         Engine::new(EngineConfig {

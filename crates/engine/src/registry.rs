@@ -2,11 +2,14 @@
 //! the workspace, registered by its canonical name behind a common
 //! `RankJob → RankResult` trait object.
 //!
-//! Names are shared with the `fairrank` CLI and the umbrella crate's
-//! [`fairness_ranking::pipeline::PipelineSpec`], so a name accepted on
-//! the command line is accepted by `POST /rank` and vice versa.
+//! Pipeline stage names are shared with the umbrella crate's
+//! [`fairness_ranking::pipeline::PipelineSpec`]. The `fairrank` CLI
+//! runs its `rank`, `aggregate` and `pipeline` commands through this
+//! registry too (via [`execute`], the step the engine's workers run),
+//! so a job gives the same result from the command line, `POST /rank`,
+//! a `/jobs` chunk or the router.
 
-use crate::job::{JobInput, RankJob, RankResult};
+use crate::job::{Criterion, JobInput, RankJob, RankResult};
 use crate::tables::ExecContext;
 use crate::EngineError;
 use fair_baselines::{
@@ -14,10 +17,11 @@ use fair_baselines::{
     optimal_fair_ranking_dp, optimal_fair_ranking_kt, weakly_fair_ranking, DetConstSortConfig,
     FaIrConfig, FairnessMode, IpfConfig,
 };
-use fair_mallows::{Criterion, MallowsFairRanker};
+use fair_mallows::MallowsFairRanker;
 use fairness_metrics::{infeasible, FairnessBounds, GroupAssignment};
 use fairness_ranking::pipeline::{Aggregator, PipelineSpec, PostProcessor};
 use rand::rngs::StdRng;
+use rand::SeedableRng;
 use ranking_core::quality::{self, Discount};
 use ranking_core::Permutation;
 use std::collections::BTreeMap;
@@ -53,6 +57,19 @@ pub trait Algorithm: Send + Sync {
         ctx: &ExecContext,
         rng: &mut StdRng,
     ) -> Result<RankResult, EngineError>;
+}
+
+/// Run `job` on `algorithm` with an RNG seeded from `job.params.seed`:
+/// the one execution step behind every entry point (the engine's
+/// workers and the in-process CLI), so equal jobs give equal results
+/// wherever they are submitted.
+pub fn execute(
+    algorithm: &dyn Algorithm,
+    job: &RankJob,
+    ctx: &ExecContext,
+) -> Result<RankResult, EngineError> {
+    let mut rng = StdRng::seed_from_u64(job.params.seed);
+    algorithm.run(job, ctx, &mut rng)
 }
 
 type RunFn = Box<
@@ -167,7 +184,7 @@ impl Default for Registry {
     }
 }
 
-/// Score-pool algorithms mirroring `fairrank rank --algorithm …`.
+/// Score-pool algorithms (`POST /rank`, `fairrank rank --algorithm …`).
 const SCORE_ALGORITHMS: [&str; 9] = [
     "weakly-fair",
     "mallows",
@@ -328,9 +345,15 @@ fn run_score_algorithm(
     let order: Vec<usize> = match name {
         "weakly-fair" => weakly_fair_ranking(scores, &groups, &bounds).into_order(),
         "mallows" => {
-            let ranker =
-                MallowsFairRanker::new(p.theta, p.samples, Criterion::MaxNdcg(scores.to_vec()))
-                    .map_err(algo_err)?;
+            let criterion = match p.criterion {
+                Criterion::Ndcg => fair_mallows::Criterion::MaxNdcg(scores.to_vec()),
+                Criterion::Infeasible => fair_mallows::Criterion::MinInfeasibleIndex {
+                    groups: groups.clone(),
+                    bounds: bounds.clone(),
+                },
+                Criterion::Kendall => fair_mallows::Criterion::MinKendallTau,
+            };
+            let ranker = MallowsFairRanker::new(p.theta, p.samples, criterion).map_err(algo_err)?;
             let center = weakly_fair_ranking(scores, &groups, &bounds);
             // the insertion-CDF table is cached across requests keyed
             // on (n, θ); wide sample counts fan out across threads
@@ -369,8 +392,7 @@ fn run_score_algorithm(
         .into_order(),
         "ipf" => {
             // IPF post-processes the weakly-fair ranking (the paper's
-            // pipeline input), not the raw score order — shared with
-            // `fairrank rank --algorithm ipf` and the experiments
+            // pipeline input), not the raw score order
             let sigma = weakly_fair_ranking(scores, &groups, &bounds);
             approx_multi_valued_ipf(
                 &sigma,
@@ -444,8 +466,8 @@ fn run_score_algorithm(
     })
 }
 
-/// Utility + fairness report for a (possibly truncated) ranking,
-/// mirroring the `fairrank rank` footer: NDCG within the selection and
+/// Utility + fairness report for a (possibly truncated) ranking (the
+/// `fairrank rank` footer): NDCG within the selection and
 /// versus the pool ideal, infeasible index and P-fair percentage over
 /// the selected items.
 fn score_metrics(
@@ -490,7 +512,6 @@ fn score_metrics(
 mod tests {
     use super::*;
     use crate::job::JobParams;
-    use rand::SeedableRng;
 
     fn scores_job(algorithm: &str) -> RankJob {
         RankJob {
@@ -732,6 +753,47 @@ mod tests {
         // both (narrow, wide) jobs shared one cached (n, θ) table
         assert_eq!(ctx.tables.misses(), 1);
         assert_eq!(ctx.tables.hits(), 2);
+    }
+
+    #[test]
+    fn mallows_runs_the_job_criterion() {
+        // each job criterion selects with the matching library criterion
+        let mut job = scores_job("mallows");
+        job.params.theta = 0.3;
+        job.params.samples = 20;
+        let (scores, groups) = scores_input(&job).unwrap();
+        let bounds = FairnessBounds::from_assignment_with_tolerance(&groups, job.params.tolerance);
+        let center = weakly_fair_ranking(scores, &groups, &bounds);
+        let mallows = Registry::standard().get("mallows").unwrap();
+        let mut winners = Vec::new();
+        for (criterion, library) in [
+            (
+                Criterion::Ndcg,
+                fair_mallows::Criterion::MaxNdcg(scores.to_vec()),
+            ),
+            (
+                Criterion::Infeasible,
+                fair_mallows::Criterion::MinInfeasibleIndex {
+                    groups: groups.clone(),
+                    bounds: bounds.clone(),
+                },
+            ),
+            (Criterion::Kendall, fair_mallows::Criterion::MinKendallTau),
+        ] {
+            let mut job = job.clone();
+            job.params.criterion = criterion;
+            let out = execute(&*mallows, &job, &ExecContext::default()).unwrap();
+            let lib = MallowsFairRanker::new(job.params.theta, job.params.samples, library)
+                .unwrap()
+                .rank(&center, &mut StdRng::seed_from_u64(job.params.seed))
+                .unwrap();
+            assert_eq!(out.ranking, lib.ranking.as_order(), "{criterion:?}");
+            winners.push(out.ranking);
+        }
+        assert!(
+            winners[0] != winners[1] || winners[1] != winners[2],
+            "the criteria must not all pick the same sample here"
+        );
     }
 
     #[test]

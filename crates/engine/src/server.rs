@@ -23,9 +23,11 @@
 //! [`FlightRecorder`](crate::trace::FlightRecorder), which
 //! `GET /debug/traces` serves as JSON.
 //!
-//! Shared params: `theta`, `samples`, `tolerance`, `noise_sd`, `k`,
-//! `seed`, `protected`, `proportion`, `alpha` — same names and
-//! defaults as the `fairrank` CLI flags.
+//! Shared params: `theta`, `samples`, `criterion` (`ndcg`,
+//! `infeasible` or `kendall`), `tolerance`, `noise_sd`, `k`, `seed`,
+//! `protected`, `proportion`, `alpha` — the `fairrank` CLI's flags
+//! under the same names and defaults (except `samples`, which
+//! `fairrank rank` defaults to 1).
 //!
 //! Error mapping: malformed request → `400`, unknown algorithm or job
 //! id → `404`, algorithm failure → `422`, full job queue or job store
@@ -1502,6 +1504,12 @@ fn parse_params(doc: ValueRef<'_>) -> Result<JobParams, String> {
         params.samples = v
             .as_usize()
             .ok_or("`samples` must be a non-negative integer")?;
+    }
+    if let Some(v) = doc.get("criterion") {
+        params.criterion = v
+            .as_str()
+            .and_then(crate::job::Criterion::parse)
+            .ok_or("`criterion` must be one of ndcg, infeasible, kendall")?;
     }
     if let Some(v) = doc.get("tolerance") {
         params.tolerance = v.as_f64().ok_or("`tolerance` must be a number")?;
