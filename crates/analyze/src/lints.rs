@@ -68,7 +68,9 @@ impl LintConfig {
                 "crates/engine/src/cache.rs",
                 "crates/engine/src/registry.rs",
                 "crates/engine/src/server.rs",
+                "crates/engine/src/http.rs",
                 "crates/engine/src/batch.rs",
+                "crates/engine/src/pool.rs",
                 "crates/router/src/",
             ]
             .map(str::to_string)

@@ -1,12 +1,7 @@
-//! HTTP serving-path throughput: the keep-alive I/O reactor versus the
-//! pre-reactor thread-per-connection baseline (kept behind
-//! `ServerConfig::thread_per_conn`).
+//! HTTP serving-path throughput of the keep-alive I/O reactor.
 //!
-//! N client threads issue small `/rank` bodies. Against the reactor
-//! each client holds one keep-alive connection for its whole batch;
-//! against the baseline each request opens a fresh connection and is
-//! answered `Connection: close` — exactly the old serving model (one
-//! thread spawn + one TCP handshake per request).
+//! N client threads issue small `/rank` bodies, each client holding one
+//! keep-alive connection for its whole batch.
 //!
 //! The request body is identical across requests, so after the first
 //! execution every response is a result-cache hit and the measurement
@@ -16,8 +11,7 @@
 //! proof and `engine_throughput.rs` for the compute path).
 //!
 //! Not a criterion bench on purpose: it prints one JSON summary line
-//! per mode (and a final speedup line) so the perf trajectory can be
-//! tracked across PRs:
+//! per mode so the perf trajectory can be tracked across PRs:
 //!
 //! ```text
 //! {"bench":"http_throughput","mode":"reactor_keepalive",...,"req_per_s":NNNN}
@@ -60,27 +54,15 @@ fn main() {
     }
     let per_thread = if smoke { 25 } else { 1000 };
 
-    let baseline = run_mode("thread_per_conn_close", true, per_thread);
-    let reactor = run_mode("reactor_keepalive", false, per_thread);
-    let speedup = reactor / baseline;
-    println!(
-        "{{\"bench\":\"http_throughput\",\"mode\":\"summary\",\"threads\":{CLIENT_THREADS},\"requests_per_thread\":{per_thread},\"speedup\":{speedup:.2}}}"
-    );
+    let reactor = run_reactor(per_thread);
     if !smoke {
         // full-scale runs can feed the committed perf trajectory
         // (no-op unless FAIRRANK_BENCH_RECORD=1)
-        bench::summary::record(
-            "http_throughput",
-            &[
-                ("req_per_s_reactor", reactor),
-                ("req_per_s_baseline", baseline),
-                ("speedup", speedup),
-            ],
-        );
+        bench::summary::record("http_throughput", &[("req_per_s_reactor", reactor)]);
     }
 }
 
-fn run_mode(name: &str, thread_per_conn: bool, per_thread: usize) -> f64 {
+fn run_reactor(per_thread: usize) -> f64 {
     let engine = Engine::new(EngineConfig {
         workers: 2,
         queue_capacity: 1024,
@@ -89,70 +71,32 @@ fn run_mode(name: &str, thread_per_conn: bool, per_thread: usize) -> f64 {
         cache_shards: 0,
         ..EngineConfig::default()
     });
-    let server = Server::bind_with(
-        "127.0.0.1:0",
-        engine,
-        ServerConfig {
-            thread_per_conn,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("binding an ephemeral port")
-    .spawn()
-    .expect("starting the server");
+    let server = Server::bind("127.0.0.1:0", engine)
+        .expect("binding an ephemeral port")
+        .spawn()
+        .expect("starting the server");
     let addr = server.addr();
 
     // warm: populate the result cache and any lazy state
-    one_shot_request(addr);
+    keep_alive_batch(addr, 1);
 
     let start = Instant::now();
     let handles: Vec<_> = (0..CLIENT_THREADS)
-        .map(|_| {
-            std::thread::spawn(move || {
-                if thread_per_conn {
-                    for _ in 0..per_thread {
-                        one_shot_request(addr);
-                    }
-                } else {
-                    keep_alive_batch(addr, per_thread);
-                }
-            })
-        })
+        .map(|_| std::thread::spawn(move || keep_alive_batch(addr, per_thread)))
         .collect();
     for handle in handles {
         handle.join().unwrap();
     }
     let elapsed = start.elapsed();
-    shutdown(server);
+    server.shutdown();
 
     let total = CLIENT_THREADS * per_thread;
     let req_per_s = total as f64 / elapsed.as_secs_f64();
     println!(
-        "{{\"bench\":\"http_throughput\",\"mode\":\"{name}\",\"threads\":{CLIENT_THREADS},\"requests\":{total},\"elapsed_ms\":{:.1},\"req_per_s\":{req_per_s:.0}}}",
+        "{{\"bench\":\"http_throughput\",\"mode\":\"reactor_keepalive\",\"threads\":{CLIENT_THREADS},\"requests\":{total},\"elapsed_ms\":{:.1},\"req_per_s\":{req_per_s:.0}}}",
         elapsed.as_secs_f64() * 1e3
     );
     req_per_s
-}
-
-fn shutdown(server: ServerHandle) {
-    server.shutdown();
-}
-
-/// One request on a fresh connection, `Connection: close` — the old
-/// serving model's traffic shape.
-fn one_shot_request(addr: SocketAddr) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .unwrap();
-    let request = format!(
-        "POST /rank HTTP/1.1\r\nhost: bench\r\nconnection: close\r\ncontent-length: {}\r\n\r\n{BODY}",
-        BODY.len()
-    );
-    stream.write_all(request.as_bytes()).expect("write request");
-    let mut response = Vec::new();
-    stream.read_to_end(&mut response).expect("read response");
-    assert_status_200(&response);
 }
 
 /// `count` sequential requests over one keep-alive connection.
@@ -173,8 +117,8 @@ fn keep_alive_batch(addr: SocketAddr, count: usize) {
 }
 
 /// Read exactly one `content-length`-framed response from the stream.
-/// (A sibling reader lives in `tests/engine_http.rs` — keep framing
-/// changes in sync.)
+/// Deliberately independent of `fairrank_engine::http`, like the test
+/// clients in `tests/engine_http.rs`.
 fn read_one_response(stream: &mut TcpStream, buf: &mut Vec<u8>) {
     let head_end = loop {
         if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {

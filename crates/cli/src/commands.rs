@@ -92,7 +92,6 @@ pub fn serve(args: &Args) -> Result<String> {
             args.get_u64("idle-timeout-ms", 5_000)?.max(1),
         ),
         pending_connections: args.get_usize("pending", 1024)?.max(1),
-        thread_per_conn: false,
         access_log,
     };
     let workers = config.workers;

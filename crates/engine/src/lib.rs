@@ -18,7 +18,8 @@
 //! * an HTTP/1.1 JSON API ([`server`]) on `std::net::TcpListener` —
 //!   `POST /rank`, `POST /aggregate`, `POST /pipeline`, `GET /healthz`,
 //!   `GET /readyz`, `GET /stats`, `GET /metrics` — wired into the CLI
-//!   as `fairrank serve`;
+//!   as `fairrank serve`, framed by the workspace's one HTTP/1.1 codec
+//!   ([`http`]), which the cluster router also speaks through;
 //! * an operability layer: Prometheus metrics with per-route and
 //!   per-algorithm latency histograms ([`stats`],
 //!   [`Engine::render_metrics`]), an optional structured access log,
@@ -47,6 +48,7 @@
 
 pub mod batch;
 pub mod cache;
+pub mod http;
 pub mod job;
 pub mod json;
 pub mod pool;

@@ -3,7 +3,9 @@
 //! Jobs are boxed closures; submission is non-blocking and fails fast
 //! with [`SubmitError::QueueFull`] when the queue is at capacity, which
 //! the HTTP layer maps to `503 Service Unavailable` — under overload
-//! the engine sheds load instead of queueing unboundedly.
+//! the engine sheds load instead of queueing unboundedly. A pool that
+//! could not spawn a single worker thread answers every submission
+//! with `QueueFull` rather than queueing jobs nobody will run.
 //!
 //! Each job is stamped with its enqueue time; the worker that dequeues
 //! it measures the queue wait and hands it to the closure, which is
@@ -11,6 +13,7 @@
 //! `queue_us` spans are fed — the measurement happens exactly where
 //! the queue is drained, not where the submitter guesses.
 
+use crate::{lock_recover, wait_recover};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -48,6 +51,20 @@ struct Shared {
     busy: AtomicU64,
 }
 
+impl Shared {
+    fn new(queue_capacity: usize) -> Shared {
+        Shared {
+            state: Mutex::new(State {
+                jobs: VecDeque::new(),
+                shutdown: false,
+            }),
+            job_ready: Condvar::new(),
+            queue_capacity: queue_capacity.max(1),
+            busy: AtomicU64::new(0),
+        }
+    }
+}
+
 /// A pool of worker threads draining a bounded FIFO queue.
 pub struct WorkerPool {
     shared: Arc<Shared>,
@@ -56,23 +73,17 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Spawn `workers` threads (at least 1) with the given queue bound.
+    /// Threads the OS refuses are skipped: the pool runs on the ones
+    /// that did start.
     pub fn new(workers: usize, queue_capacity: usize) -> Self {
-        let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                jobs: VecDeque::new(),
-                shutdown: false,
-            }),
-            job_ready: Condvar::new(),
-            queue_capacity: queue_capacity.max(1),
-            busy: AtomicU64::new(0),
-        });
+        let shared = Arc::new(Shared::new(queue_capacity));
         let workers = (0..workers.max(1))
-            .map(|i| {
+            .filter_map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("fairrank-worker-{i}"))
                     .spawn(move || worker_loop(&shared))
-                    .expect("spawning a worker thread")
+                    .ok()
             })
             .collect();
         WorkerPool { shared, workers }
@@ -85,7 +96,7 @@ impl WorkerPool {
 
     /// Jobs currently queued (excludes jobs being executed).
     pub fn queued(&self) -> usize {
-        self.shared.state.lock().expect("pool lock").jobs.len()
+        lock_recover(&self.shared.state).jobs.len()
     }
 
     /// Workers currently executing a job (an observability gauge,
@@ -94,13 +105,14 @@ impl WorkerPool {
         self.shared.busy.load(Ordering::Relaxed)
     }
 
-    /// Enqueue a job, failing fast when the queue is full.
+    /// Enqueue a job, failing fast when the queue is full (or when no
+    /// worker thread exists to drain it).
     pub fn try_submit(&self, job: Job) -> Result<(), SubmitError> {
-        let mut state = self.shared.state.lock().expect("pool lock");
+        let mut state = lock_recover(&self.shared.state);
         if state.shutdown {
             return Err(SubmitError::ShuttingDown);
         }
-        if state.jobs.len() >= self.shared.queue_capacity {
+        if self.workers.is_empty() || state.jobs.len() >= self.shared.queue_capacity {
             return Err(SubmitError::QueueFull);
         }
         state.jobs.push_back(QueuedJob {
@@ -116,7 +128,7 @@ impl WorkerPool {
     /// new submissions are rejected.
     pub fn shutdown(mut self) {
         {
-            let mut state = self.shared.state.lock().expect("pool lock");
+            let mut state = lock_recover(&self.shared.state);
             state.shutdown = true;
         }
         self.shared.job_ready.notify_all();
@@ -141,7 +153,7 @@ impl Drop for WorkerPool {
 fn worker_loop(shared: &Shared) {
     loop {
         let job = {
-            let mut state = shared.state.lock().expect("pool lock");
+            let mut state = lock_recover(&shared.state);
             loop {
                 if let Some(job) = state.jobs.pop_front() {
                     break job;
@@ -149,7 +161,7 @@ fn worker_loop(shared: &Shared) {
                 if state.shutdown {
                     return;
                 }
-                state = shared.job_ready.wait(state).expect("pool lock");
+                state = wait_recover(&shared.job_ready, state);
             }
         };
         // A panicking job must not kill the worker: catch and keep
@@ -248,6 +260,21 @@ mod tests {
         let pool = WorkerPool::new(0, 1);
         assert_eq!(pool.workers(), 1);
         pool.shutdown();
+    }
+
+    #[test]
+    fn pool_without_live_workers_rejects_instead_of_queueing() {
+        // what `new` leaves behind when the OS refuses every thread
+        let pool = WorkerPool {
+            shared: Arc::new(Shared::new(4)),
+            workers: Vec::new(),
+        };
+        assert_eq!(pool.workers(), 0);
+        assert_eq!(
+            pool.try_submit(Box::new(|_| {})),
+            Err(SubmitError::QueueFull)
+        );
+        assert_eq!(pool.queued(), 0);
     }
 
     #[test]

@@ -47,21 +47,19 @@
 //! zero thread spawns. Jobs still funnel into the engine's bounded
 //! worker pool, which is where admission control happens.
 //!
-//! Each I/O worker owns a [`ConnScratch`]: reusable input, body,
-//! JSON-arena, and response buffers. After warm-up, a request performs
+//! Each I/O worker owns a [`ConnScratch`]: a reusable
+//! [`RequestReader`], JSON arena and response buffers. Framing (head
+//! parse, size caps, response framer) is the shared
+//! [`crate::http`] codec. After warm-up, a request performs
 //! **zero heap allocations in the HTTP layer** (head parse, JSON parse
 //! via [`JsonArena`], response serialization via
 //! [`RankResult::write_json`](crate::job::RankResult::write_json) and
-//! [`write_response_into`]); only the
+//! [`http::write_response`]); only the
 //! job layer (the owned `RankJob` handed to the engine) still
 //! allocates. `crates/engine/tests/alloc_audit.rs` pins this with a
 //! counting global allocator.
-//!
-//! The pre-reactor thread-per-connection model is retained behind
-//! [`ServerConfig::thread_per_conn`] as the benchmark baseline
-//! (`crates/bench/benches/http_throughput.rs` reports the before/after
-//! requests-per-second ratio).
 
+use crate::http::{self, write_error, Frame, Incoming, RequestReader};
 use crate::job::{JobInput, JobParams, RankJob};
 use crate::json::{Json, JsonArena, ValueRef};
 use crate::registry::AlgorithmKind;
@@ -69,29 +67,12 @@ use crate::stats::{EngineStats, JobOrigin, RouteClass};
 use crate::trace::{SpanRecorder, Trace, TraceHandle, TraceStr};
 use crate::{duration_us, Engine, EngineError};
 use std::fmt::Write as _;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Maximum accepted request-body size (16 MiB).
-const MAX_BODY: usize = 16 << 20;
-/// Maximum accepted header-block size (16 KiB).
-const MAX_HEADER: usize = 16 << 10;
-/// Maximum accepted header count per request — with the byte cap this
-/// bounds both dimensions a slow-header client could grow.
-const MAX_HEADER_LINES: usize = 128;
-/// Socket-write timeout (a stalled reader must not pin a worker).
-const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
-/// Read timeout once a request has started arriving — slow senders get
-/// this much per read, independent of the (typically much shorter)
-/// keep-alive idle timeout that governs waiting *between* requests.
-const REQUEST_READ_TIMEOUT: Duration = Duration::from_secs(30);
-/// Scratch buffers above this size are shrunk after the request so one
-/// huge body does not pin megabytes per worker forever.
-const SCRATCH_TRIM: usize = 1 << 20;
 
 /// Serving-layer knobs (engine sizing lives in
 /// [`EngineConfig`](crate::EngineConfig)).
@@ -108,10 +89,6 @@ pub struct ServerConfig {
     /// Bounded accept → worker queue; connections beyond it are shed
     /// with `503` + `Retry-After`.
     pub pending_connections: usize,
-    /// Legacy pre-reactor model: one OS thread and one request per
-    /// connection. Kept as the measurable baseline for the
-    /// `http_throughput` bench.
-    pub thread_per_conn: bool,
     /// Optional structured access log: one JSON line per request
     /// (connection id, request sequence, method, path, route, status,
     /// body bytes, service µs). `None` disables logging entirely.
@@ -125,7 +102,6 @@ impl Default for ServerConfig {
             max_requests_per_conn: 1024,
             idle_timeout: Duration::from_secs(5),
             pending_connections: 1024,
-            thread_per_conn: false,
             access_log: None,
         }
     }
@@ -321,9 +297,6 @@ impl Server {
     }
 
     fn serve(self, stop: &Arc<AtomicBool>) {
-        if self.config.thread_per_conn {
-            return self.serve_thread_per_conn(stop);
-        }
         let io_threads = if self.config.io_threads == 0 {
             crate::tables::available_parallelism()
         } else {
@@ -347,6 +320,7 @@ impl Server {
         // connections serially on the accept thread rather than
         // queueing them into a channel nobody drains
         let mut inline_scratch = ConnScratch::default();
+        let rejected = &self.engine.stats().rejected_connections;
         for connection in self.listener.incoming() {
             if stop.load(Ordering::SeqCst) {
                 break;
@@ -375,7 +349,7 @@ impl Server {
                     // every worker is busy and the backlog is full:
                     // tell the client to come back instead of silently
                     // hanging up on it
-                    shed_connection(stream, &self.engine, OVERLOADED_BODY, Some(1));
+                    http::shed(stream, http::OVERLOADED_BODY, Some(1), rejected);
                 }
                 Err(mpsc::TrySendError::Disconnected(_)) => break,
             }
@@ -392,7 +366,7 @@ impl Server {
             match self.listener.accept() {
                 Ok((stream, _)) => {
                     EngineStats::bump(&self.engine.stats().connections);
-                    shed_connection(stream, &self.engine, DRAINING_BODY, None);
+                    http::shed(stream, DRAINING_BODY, None, rejected);
                 }
                 Err(_) => std::thread::sleep(Duration::from_millis(5)),
             }
@@ -402,44 +376,6 @@ impl Server {
         }
         // every request that will ever be logged has been logged: make
         // the tail durable before the process exits
-        if let Some(log) = &self.config.access_log {
-            log.sync();
-        }
-    }
-
-    /// The legacy model: spawn a thread per connection, serve exactly
-    /// one request, always close.
-    fn serve_thread_per_conn(self, stop: &Arc<AtomicBool>) {
-        let mut config = self.config.clone();
-        config.max_requests_per_conn = 1;
-        for connection in self.listener.incoming() {
-            if stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = connection else {
-                std::thread::sleep(Duration::from_millis(20));
-                continue;
-            };
-            EngineStats::bump(&self.engine.stats().connections);
-            // hand the worker thread a dup of the socket so that on
-            // spawn failure we still own a handle to answer 503 on
-            let spawned = stream.try_clone().and_then(|worker_stream| {
-                let engine = Arc::clone(&self.engine);
-                let config = config.clone();
-                let stop = Arc::clone(stop);
-                std::thread::Builder::new()
-                    .name("fairrank-conn".to_string())
-                    .spawn(move || {
-                        let mut scratch = ConnScratch::default();
-                        let _ =
-                            handle_connection(worker_stream, &engine, &mut scratch, &config, &stop);
-                    })
-            });
-            if spawned.is_err() {
-                // resource exhaustion: shed load loudly
-                shed_connection(stream, &self.engine, OVERLOADED_BODY, Some(1));
-            }
-        }
         if let Some(log) = &self.config.access_log {
             log.sync();
         }
@@ -503,24 +439,9 @@ fn io_worker(
 /// the HTTP layer.
 #[derive(Default)]
 struct ConnScratch {
-    /// Raw bytes read from the socket and not yet consumed (with
-    /// keep-alive pipelining, bytes of the next request may already be
-    /// here).
-    buf: Vec<u8>,
-    /// The current request's body.
-    body: Vec<u8>,
-    /// The current request's method and path (copied out of `buf` so
-    /// the buffer can be reused while routing).
-    method: String,
-    path: String,
-    /// The connection must close after the current request (explicit
-    /// `Connection: close`, or an HTTP/1.0 client that did not opt into
-    /// keep-alive).
-    close_requested: bool,
-    /// The read timeout was switched to [`REQUEST_READ_TIMEOUT`]
-    /// mid-request and must be reset to the idle timeout before
-    /// waiting for the next request.
-    long_timeout_active: bool,
+    /// The current request (method, path, body) and the socket bytes
+    /// read past it.
+    reader: RequestReader,
     /// JSON parse arena for request bodies.
     arena: JsonArena,
     /// Response body under construction.
@@ -564,19 +485,14 @@ impl ConnScratch {
     /// Shrink oversized buffers so one huge request does not pin its
     /// high-water mark per worker forever.
     fn trim(&mut self) {
-        if self.buf.capacity() > SCRATCH_TRIM {
-            self.buf.shrink_to(SCRATCH_TRIM);
+        self.reader.trim();
+        if self.body_out.capacity() > http::SCRATCH_TRIM {
+            self.body_out.shrink_to(http::SCRATCH_TRIM);
         }
-        if self.body.capacity() > SCRATCH_TRIM {
-            self.body.shrink_to(SCRATCH_TRIM);
+        if self.out.capacity() > http::SCRATCH_TRIM {
+            self.out.shrink_to(http::SCRATCH_TRIM);
         }
-        if self.body_out.capacity() > SCRATCH_TRIM {
-            self.body_out.shrink_to(SCRATCH_TRIM);
-        }
-        if self.out.capacity() > SCRATCH_TRIM {
-            self.out.shrink_to(SCRATCH_TRIM);
-        }
-        self.arena.shrink_to(SCRATCH_TRIM);
+        self.arena.shrink_to(http::SCRATCH_TRIM);
     }
 }
 
@@ -587,58 +503,45 @@ fn handle_connection(
     config: &ServerConfig,
     stop: &AtomicBool,
 ) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(config.idle_timeout))?;
-    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
-    // sequential request/response on one connection: coalescing delays
-    // hurt and there is nothing to batch
-    let _ = stream.set_nodelay(true);
-    scratch.buf.clear();
-    scratch.long_timeout_active = false;
+    scratch.reader.begin(&stream, config.idle_timeout)?;
     let stats = engine.stats();
     let conn_id = CONN_SEQ.fetch_add(1, Ordering::Relaxed);
     let mut served = 0usize;
     loop {
-        if scratch.long_timeout_active {
-            // the previous request trickled in slowly; restore the
-            // (shorter) keep-alive idle timeout for the wait ahead
-            stream.set_read_timeout(Some(config.idle_timeout))?;
-            scratch.long_timeout_active = false;
-        }
-        match read_request(&mut stream, scratch) {
-            // clean end of a keep-alive connection (EOF or idle
-            // timeout at a request boundary)
-            Ok(ReadOutcome::CleanEof) | Err(ReadError::Closed) => return Ok(()),
-            Err(ReadError::Malformed(message)) => {
-                // framing is no longer trustworthy: answer and close
+        match scratch
+            .reader
+            .next_request(&mut stream, config.idle_timeout)
+        {
+            Incoming::Closed => return Ok(()),
+            Incoming::Malformed(http::Malformed(message)) => {
                 EngineStats::bump(&stats.http_requests);
                 EngineStats::bump(&stats.http_errors);
                 scratch.body_out.clear();
                 write_error(&mut scratch.body_out, &message);
-                write_response_into(&mut scratch.out, 400, &scratch.body_out, false, None);
-                let _ = stream.write_all(&scratch.out);
                 if let Some(log) = &config.access_log {
-                    // read_request failed before (re)filling method/
-                    // path; clear them so the log line cannot carry a
-                    // previous request's route
-                    scratch.method.clear();
-                    scratch.path.clear();
+                    // the head never parsed (or its body never
+                    // arrived): log no method or path rather than a
+                    // previous request's
                     write_access_line(
-                        scratch,
+                        &mut scratch.log_line,
                         &AccessRecord {
                             conn: conn_id,
                             seq: served + 1,
+                            method: "",
+                            path: "",
                             route: RouteClass::Other,
                             status: 400,
+                            bytes: scratch.body_out.len(),
                             micros: 0,
                             trace: None,
                         },
                         log,
                     );
                 }
-                graceful_close(&mut stream, Duration::from_millis(250), 64);
+                http::reject(&mut stream, &scratch.body_out, &mut scratch.out);
                 return Ok(());
             }
-            Ok(ReadOutcome::Request) => {}
+            Incoming::Request => {}
         }
         let started = Instant::now();
         EngineStats::bump(&stats.http_requests);
@@ -649,7 +552,7 @@ fn handle_connection(
         // the stop check comes AFTER routing: a drain that began while
         // this request executed must close the connection right after
         // answering it, not one request later
-        let keep_alive = !scratch.close_requested
+        let keep_alive = !scratch.reader.close
             && served < config.max_requests_per_conn.max(1)
             && !stop.load(Ordering::Relaxed);
         if status >= 400 {
@@ -658,17 +561,14 @@ fn handle_connection(
         let content_type = if route == RouteClass::Metrics && status == 200 {
             METRICS_CONTENT_TYPE
         } else {
-            JSON_CONTENT_TYPE
+            http::JSON_CONTENT_TYPE
         };
-        write_response_traced_into(
-            &mut scratch.out,
-            status,
-            &scratch.body_out,
-            keep_alive,
-            None,
+        let frame = Frame {
             content_type,
-            Some(trace_id),
-        );
+            trace_id: Some(trace_id),
+            ..Frame::json(status, keep_alive)
+        };
+        http::write_response(&mut scratch.out, &frame, scratch.body_out.as_bytes());
         let write_started = Instant::now();
         stream.write_all(&scratch.out)?;
         let write_us = duration_us(write_started.elapsed());
@@ -697,12 +597,15 @@ fn handle_connection(
         if let Some(log) = &config.access_log {
             let micros = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
             write_access_line(
-                scratch,
+                &mut scratch.log_line,
                 &AccessRecord {
                     conn: conn_id,
                     seq: served,
+                    method: &scratch.reader.method,
+                    path: &scratch.reader.path,
                     route,
                     status,
+                    bytes: scratch.body_out.len(),
                     micros,
                     trace: Some(trace_id),
                 },
@@ -716,13 +619,16 @@ fn handle_connection(
     }
 }
 
-/// The scalar fields of one access-log line (method, path and body
-/// size come from the scratch).
-struct AccessRecord {
+/// The fields of one access-log line.
+struct AccessRecord<'a> {
     conn: u64,
     seq: usize,
+    method: &'a str,
+    path: &'a str,
     route: RouteClass,
     status: u16,
+    /// Response body size.
+    bytes: usize,
     micros: u64,
     /// Trace ID joining the line to `GET /debug/traces`; `None` for
     /// requests rejected before a trace was assigned (malformed head).
@@ -731,23 +637,22 @@ struct AccessRecord {
 
 /// Format and emit one structured access-log line:
 /// `{"conn":…,"seq":…,"method":…,"path":…,"route":…,"status":…,"bytes":…,"us":…,"trace":…}`.
-fn write_access_line(scratch: &mut ConnScratch, record: &AccessRecord, log: &AccessLog) {
-    let line = &mut scratch.log_line;
+fn write_access_line(line: &mut String, record: &AccessRecord<'_>, log: &AccessLog) {
     line.clear();
     let _ = write!(
         line,
         "{{\"conn\":{},\"seq\":{},\"method\":",
         record.conn, record.seq
     );
-    crate::json::write_string(&scratch.method, line);
+    crate::json::write_string(record.method, line);
     line.push_str(",\"path\":");
-    crate::json::write_string(&scratch.path, line);
+    crate::json::write_string(record.path, line);
     let _ = write!(
         line,
         ",\"route\":\"{}\",\"status\":{},\"bytes\":{},\"us\":{}",
         record.route.as_str(),
         record.status,
-        scratch.body_out.len(),
+        record.bytes,
         record.micros,
     );
     if let Some(trace) = record.trace {
@@ -758,234 +663,15 @@ fn write_access_line(scratch: &mut ConnScratch, record: &AccessRecord, log: &Acc
     log.write_line(line);
 }
 
-/// Half-close the write side, then briefly drain remaining input, so
-/// the error response reaches a client that still has unread request
-/// bytes in flight (closing with data pending in the receive queue
-/// turns into an RST that destroys the response). `read_timeout` and
-/// `max_reads` bound how long a dribbling client can hold the caller.
-fn graceful_close(stream: &mut TcpStream, read_timeout: Duration, max_reads: usize) {
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let _ = stream.set_read_timeout(Some(read_timeout));
-    let mut sink = [0u8; 4096];
-    for _ in 0..max_reads {
-        match stream.read(&mut sink) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
-        }
-    }
-}
-
-/// Overload-shedding response body (`Retry-After` applies).
-const OVERLOADED_BODY: &str = "{\"error\":\"server overloaded, retry later\"}";
 /// Drain-shedding response body (no retry hint — this instance is
 /// going away; clients should fail over).
 const DRAINING_BODY: &str = "{\"error\":\"server draining\"}";
 
-/// Best-effort `503` for a connection the reactor will not serve
-/// (overload backlog full, or draining), counted in
-/// `rejected_connections`.
-fn shed_connection(
-    mut stream: TcpStream,
-    engine: &Arc<Engine>,
-    body: &str,
-    retry_after_secs: Option<u32>,
-) {
-    EngineStats::bump(&engine.stats().rejected_connections);
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-    let mut out = Vec::with_capacity(256);
-    write_response_into(&mut out, 503, body, false, retry_after_secs);
-    let _ = stream.write_all(&out);
-    // the client has usually already sent its request; closing with
-    // those bytes unread would RST away the 503 we just wrote — but
-    // this runs on the accept loop, so the drain budget is tight
-    graceful_close(&mut stream, Duration::from_millis(100), 4);
-}
-
-enum ReadOutcome {
-    /// A complete request was parsed into the scratch.
-    Request,
-    /// The connection ended cleanly at a request boundary.
-    CleanEof,
-}
-
-enum ReadError {
-    /// The connection died mid-stream (reset, timeout inside a
-    /// request): close without a response.
-    Closed,
-    /// The request violates the protocol or a size cap: answer `400`
-    /// and close.
-    Malformed(String),
-}
-
-/// Read one request into the scratch: head into `method`/`path`/
-/// `close_requested`, body into `body`. Bytes past the request (the
-/// next pipelined request) stay buffered in `buf`.
-fn read_request(stream: &mut TcpStream, s: &mut ConnScratch) -> Result<ReadOutcome, ReadError> {
-    // 1. buffer socket bytes until the whole head ("\r\n\r\n") is in
-    let head_end = loop {
-        if let Some(end) = find_head_end(&s.buf) {
-            break end;
-        }
-        if s.buf.len() > MAX_HEADER {
-            return Err(ReadError::Malformed(if s.buf.contains(&b'\n') {
-                "header block too large".to_string()
-            } else {
-                "header line too long".to_string()
-            }));
-        }
-        if !s.buf.is_empty() && !s.long_timeout_active {
-            // a request has started arriving but is incomplete: give
-            // the slow sender the longer in-request read budget (the
-            // caller restores the idle timeout before the next wait)
-            let _ = stream.set_read_timeout(Some(REQUEST_READ_TIMEOUT));
-            s.long_timeout_active = true;
-        }
-        match fill(stream, &mut s.buf) {
-            // EOF or idle timeout before any byte of a next request is
-            // a clean keep-alive close; mid-head it is a dead peer
-            Ok(0) | Err(_) => {
-                return if s.buf.is_empty() {
-                    Ok(ReadOutcome::CleanEof)
-                } else {
-                    Err(ReadError::Closed)
-                };
-            }
-            Ok(_) => {}
-        }
-    };
-
-    // 2. parse the head in place (no allocation: `method`/`path` are
-    // copied into reusable buffers, everything else is scalar)
-    let head = std::str::from_utf8(&s.buf[..head_end])
-        .map_err(|_| ReadError::Malformed("header is not utf-8".to_string()))?;
-    let mut lines = head.split('\n').map(|l| l.strip_suffix('\r').unwrap_or(l));
-    let request_line = lines.next().unwrap_or("");
-    let mut parts = request_line.split_whitespace();
-    let (Some(method), Some(path)) = (parts.next(), parts.next()) else {
-        return Err(ReadError::Malformed("malformed request line".to_string()));
-    };
-    // keep-alive is the HTTP/1.1 default; HTTP/1.0 (and anything
-    // older) defaults to close unless the client opts in
-    let http11 = parts.next() == Some("HTTP/1.1");
-    let mut content_length: Option<usize> = None;
-    let mut close_token = false;
-    let mut keep_alive_token = false;
-    let mut header_count = 0usize;
-    for line in lines {
-        if line.is_empty() {
-            continue; // the blank terminator line
-        }
-        header_count += 1;
-        if header_count > MAX_HEADER_LINES {
-            return Err(ReadError::Malformed(format!(
-                "more than {MAX_HEADER_LINES} headers"
-            )));
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                let parsed: usize = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| ReadError::Malformed("invalid content-length".to_string()))?;
-                // repeated identical values are tolerated (RFC 9110
-                // allows folding them); *conflicting* duplicates mean
-                // the framing is ambiguous — request smuggling
-                // territory — so reject and close
-                if content_length.is_some_and(|previous| previous != parsed) {
-                    return Err(ReadError::Malformed(
-                        "conflicting duplicate content-length headers".to_string(),
-                    ));
-                }
-                content_length = Some(parsed);
-            } else if name.eq_ignore_ascii_case("connection") {
-                for token in value.split(',') {
-                    let token = token.trim();
-                    if token.eq_ignore_ascii_case("close") {
-                        close_token = true;
-                    } else if token.eq_ignore_ascii_case("keep-alive") {
-                        keep_alive_token = true;
-                    }
-                }
-            } else if name.eq_ignore_ascii_case("transfer-encoding") {
-                // chunked bodies are not implemented; accepting the
-                // request would desync keep-alive framing (the chunk
-                // stream would be parsed as the next request), so
-                // reject it outright — whether alone or combined with
-                // content-length — the 400 path closes the connection
-                return Err(ReadError::Malformed(
-                    "transfer-encoding is not supported; send a content-length body".to_string(),
-                ));
-            }
-        }
-    }
-    let content_length = content_length.unwrap_or(0);
-    s.method.clear();
-    s.method.push_str(method);
-    s.path.clear();
-    s.path.push_str(path);
-    s.close_requested = close_token || (!http11 && !keep_alive_token);
-    if content_length > MAX_BODY {
-        return Err(ReadError::Malformed(format!(
-            "body of {content_length} bytes exceeds the {MAX_BODY} limit"
-        )));
-    }
-
-    // 3. assemble the body: whatever is already buffered, then exact
-    // reads for the rest
-    s.body.clear();
-    let buffered = (s.buf.len() - head_end).min(content_length);
-    s.body
-        .extend_from_slice(&s.buf[head_end..head_end + buffered]);
-    s.buf.drain(..head_end + buffered);
-    if s.body.len() < content_length {
-        if !s.long_timeout_active {
-            let _ = stream.set_read_timeout(Some(REQUEST_READ_TIMEOUT));
-            s.long_timeout_active = true;
-        }
-        let already = s.body.len();
-        s.body.resize(content_length, 0);
-        stream
-            .read_exact(&mut s.body[already..])
-            .map_err(|e| ReadError::Malformed(format!("cannot read body: {e}")))?;
-    }
-    Ok(ReadOutcome::Request)
-}
-
-/// Position just past the head terminator (`\r\n\r\n`, tolerating bare
-/// `\n\n`), or `None` while incomplete.
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    let mut i = 0;
-    while i < buf.len() {
-        if buf[i] == b'\n' {
-            match buf.get(i + 1) {
-                Some(b'\n') => return Some(i + 2),
-                Some(b'\r') if buf.get(i + 2) == Some(&b'\n') => return Some(i + 3),
-                _ => {}
-            }
-        }
-        i += 1;
-    }
-    None
-}
-
-/// Append up to 4 KiB of socket bytes to `buf` (via a stack chunk, so
-/// a warm `buf` never reallocates for small requests).
-fn fill(stream: &mut TcpStream, buf: &mut Vec<u8>) -> std::io::Result<usize> {
-    let mut chunk = [0u8; 4096];
-    let n = stream.read(&mut chunk)?;
-    buf.extend_from_slice(&chunk[..n]);
-    Ok(n)
-}
-
-/// `content-type` of every JSON response.
-const JSON_CONTENT_TYPE: &str = "application/json";
 /// `content-type` of the Prometheus text exposition format.
 const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4";
 
-/// Serialize a complete HTTP/1.1 JSON response (status line, headers,
-/// body) into `out`, clearing it first and reusing its capacity — the
-/// zero-allocation response framer shared by the workers, the
-/// rejection path, and the allocation audit.
+/// Serialize a complete HTTP/1.1 JSON response into `out` through
+/// [`http::write_response`] (allocation-free on a warm buffer).
 pub fn write_response_into(
     out: &mut Vec<u8>,
     status: u16,
@@ -993,84 +679,11 @@ pub fn write_response_into(
     keep_alive: bool,
     retry_after_secs: Option<u32>,
 ) {
-    write_response_with_type_into(
-        out,
-        status,
-        body,
-        keep_alive,
-        retry_after_secs,
-        JSON_CONTENT_TYPE,
-    );
-}
-
-/// [`write_response_into`] with an explicit `content-type` (the
-/// `/metrics` route serves Prometheus text, not JSON).
-pub fn write_response_with_type_into(
-    out: &mut Vec<u8>,
-    status: u16,
-    body: &str,
-    keep_alive: bool,
-    retry_after_secs: Option<u32>,
-    content_type: &str,
-) {
-    write_response_traced_into(
-        out,
-        status,
-        body,
-        keep_alive,
-        retry_after_secs,
-        content_type,
-        None,
-    );
-}
-
-/// The full response framer: [`write_response_with_type_into`] plus an
-/// optional `x-trace-id` header joining the response to its
-/// `GET /debug/traces` entry and access-log line. Still allocation-free
-/// on a warm `out` buffer.
-pub fn write_response_traced_into(
-    out: &mut Vec<u8>,
-    status: u16,
-    body: &str,
-    keep_alive: bool,
-    retry_after_secs: Option<u32>,
-    content_type: &str,
-    trace_id: Option<u64>,
-) {
-    let reason = match status {
-        200 => "OK",
-        202 => "Accepted",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        422 => "Unprocessable Entity",
-        503 => "Service Unavailable",
-        _ => "Internal Server Error",
+    let frame = Frame {
+        retry_after: retry_after_secs.map(u64::from),
+        ..Frame::json(status, keep_alive)
     };
-    out.clear();
-    let _ = write!(
-        out,
-        "HTTP/1.1 {status} {reason}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\n",
-        body.len()
-    );
-    if let Some(secs) = retry_after_secs {
-        let _ = write!(out, "retry-after: {secs}\r\n");
-    }
-    if let Some(id) = trace_id {
-        let _ = write!(out, "x-trace-id: {id}\r\n");
-    }
-    out.extend_from_slice(if keep_alive {
-        b"connection: keep-alive\r\n\r\n"
-    } else {
-        b"connection: close\r\n\r\n"
-    });
-    out.extend_from_slice(body.as_bytes());
-}
-
-fn write_error(out: &mut String, message: &str) {
-    out.push_str("{\"error\":");
-    crate::json::write_string(message, out);
-    out.push('}');
+    http::write_response(out, &frame, body.as_bytes());
 }
 
 /// Dispatch the request in the scratch, writing the response body into
@@ -1084,16 +697,15 @@ fn route_request(
     trace_id: u64,
 ) -> (u16, RouteClass) {
     let ConnScratch {
-        method,
-        path,
-        body,
+        reader,
         arena,
         body_out,
         trace,
         ..
     } = scratch;
+    let body = &reader.body;
     body_out.clear();
-    match (method.as_str(), path.as_str()) {
+    match (reader.method.as_str(), reader.path.as_str()) {
         ("GET", "/healthz") => {
             // liveness: answers 200 for as long as the process serves,
             // draining included (readiness is `/readyz`)
@@ -1547,6 +1159,7 @@ fn parse_params(doc: ValueRef<'_>) -> Result<JobParams, String> {
 mod tests {
     use super::*;
     use crate::EngineConfig;
+    use std::io::Read;
 
     fn start() -> ServerHandle {
         let engine = Engine::new(EngineConfig {
@@ -1739,33 +1352,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_thread_per_conn_mode_still_serves() {
-        let engine = Engine::new(EngineConfig {
-            workers: 2,
-            queue_capacity: 32,
-            cache_capacity: 32,
-            table_cache_capacity: 16,
-            cache_shards: 0,
-            ..EngineConfig::default()
-        });
-        let server = Server::bind_with(
-            "127.0.0.1:0",
-            engine,
-            ServerConfig {
-                thread_per_conn: true,
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap()
-        .spawn()
-        .unwrap();
-        let (status, body) = http(server.addr(), "GET", "/healthz", "");
-        assert_eq!(status, 200);
-        assert!(body.contains("\"status\":\"ok\""), "{body}");
-        server.shutdown();
-    }
-
-    #[test]
     fn trace_header_joins_debug_traces_entry() {
         let server = start();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
@@ -1867,13 +1453,5 @@ mod tests {
         assert!(text.contains("connection: keep-alive\r\n"), "{text}");
         assert!(!text.contains("retry-after"), "{text}");
         assert!(text.ends_with("\r\n\r\n[1]"), "{text}");
-    }
-
-    #[test]
-    fn find_head_end_handles_crlf_and_bare_lf() {
-        assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n\r\nrest"), Some(18));
-        assert_eq!(find_head_end(b"GET / HTTP/1.1\n\nrest"), Some(16));
-        assert_eq!(find_head_end(b"GET / HTTP/1.1\r\n"), None);
-        assert_eq!(find_head_end(b""), None);
     }
 }

@@ -330,9 +330,8 @@ pub struct EngineStats {
     pub http_errors: AtomicU64,
     /// Connections accepted by the listener.
     pub connections: AtomicU64,
-    /// Connections shed with `503` + `Retry-After` because the
-    /// pending-connection queue was full (or a legacy-mode thread
-    /// could not be spawned).
+    /// Connections shed with `503`: with `Retry-After` because the
+    /// pending-connection queue was full, without it while draining.
     pub rejected_connections: AtomicU64,
     /// Per-request service latency (request parsed → response
     /// written).

@@ -4,13 +4,14 @@
 //! heap allocations in the HTTP parse/serialize layer: JSON parsing
 //! into a reused [`JsonArena`], response-body serialization via
 //! [`RankResult::write_json`] into a reused `String`, and response
-//! framing via [`write_response_into`] into a reused `Vec<u8>` — and,
+//! framing via [`write_response`] into a reused `Vec<u8>` — and,
 //! since the tracing subsystem landed, span recording plus flight-
 //! recorder insertion (preallocated slots, `Copy` traces, a pooled
 //! span-recorder `Arc`) and the `x-trace-id` framing variant. This
 //! test pins that with a counting global allocator: warm each buffer
-//! once, then run the same operations again and assert the allocation
-//! counter did not move.
+//! once, then run the same operations again — the request itself read
+//! off a loopback socket by `http::RequestReader` — and assert the
+//! allocation counter did not move.
 //!
 //! (The *job* layer — building the owned `RankJob` handed to the
 //! engine — allocates by design and is outside the audited boundary;
@@ -19,13 +20,16 @@
 //! Single test on purpose: the tracking flag is process-global, so a
 //! concurrently running test would pollute the count.
 
+use fairrank_engine::http::{write_response, Frame, Incoming, RequestReader};
 use fairrank_engine::job::RankResult;
 use fairrank_engine::json::JsonArena;
-use fairrank_engine::server::write_response_traced_into;
 use fairrank_engine::trace::{FlightRecorder, SpanRecorder, Trace, TraceHandle, TraceStr};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::io::Write;
+use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 struct CountingAllocator;
 
@@ -85,6 +89,19 @@ fn warm_http_parse_and_serialize_layer_does_not_allocate() {
     let mut body_out = String::new();
     let mut response = Vec::new();
 
+    // one keep-alive request per round, read by the server-side codec
+    let listener = TcpListener::bind("127.0.0.1:0").expect("binding loopback");
+    let mut client = TcpStream::connect(listener.local_addr().unwrap()).expect("connecting");
+    let (mut server, _) = listener.accept().expect("accepting");
+    let request = format!(
+        "POST /rank HTTP/1.1\r\nhost: audit\r\ncontent-length: {}\r\n\r\n{request_body}",
+        request_body.len()
+    );
+    let mut reader = RequestReader::default();
+    reader
+        .begin(&server, Duration::from_secs(5))
+        .expect("socket options");
+
     // the tracing warm path: a pooled span recorder, a preallocated
     // flight recorder whose slow track (threshold 0 admits everything)
     // is already full, so a new record exercises the min-replace path
@@ -115,6 +132,11 @@ fn warm_http_parse_and_serialize_layer_does_not_allocate() {
     };
 
     // warm every buffer once (capacities stick) and fill the slow track
+    client.write_all(request.as_bytes()).unwrap();
+    assert_eq!(
+        reader.next_request(&mut server, Duration::from_secs(5)),
+        Incoming::Request
+    );
     let doc = arena.parse(request_body).expect("valid request body");
     assert_eq!(doc.get("algorithm").unwrap().as_str(), Some("mallows"));
     result.write_json(&mut body_out);
@@ -122,35 +144,33 @@ fn warm_http_parse_and_serialize_layer_does_not_allocate() {
     for _ in 0..8 {
         warm_id = record_trace(&flight, &spans);
     }
-    write_response_traced_into(
-        &mut response,
-        200,
-        &body_out,
-        true,
-        None,
-        "application/json",
-        Some(warm_id),
-    );
+    let frame = |trace_id| Frame {
+        trace_id: Some(trace_id),
+        ..Frame::json(200, true)
+    };
+    write_response(&mut response, &frame(warm_id), body_out.as_bytes());
     let framed_len = response.len();
 
     // ... then the same request again must not touch the allocator
     body_out.clear();
+    client.write_all(request.as_bytes()).unwrap();
     let allocations = allocations_during(|| {
-        let doc = arena.parse(request_body).expect("valid request body");
+        assert_eq!(
+            reader.next_request(&mut server, Duration::from_secs(5)),
+            Incoming::Request
+        );
+        assert_eq!(
+            (reader.method.as_str(), reader.path.as_str()),
+            ("POST", "/rank")
+        );
+        let text = std::str::from_utf8(&reader.body).expect("utf-8 body");
+        let doc = arena.parse(text).expect("valid request body");
         // drive the accessors the routing layer uses
         assert_eq!(doc.get("seed").unwrap().as_u64(), Some(42));
         assert_eq!(doc.get("scores").unwrap().as_array().unwrap().count(), 6);
         result.write_json(&mut body_out);
         let id = record_trace(&flight, &spans);
-        write_response_traced_into(
-            &mut response,
-            200,
-            &body_out,
-            true,
-            None,
-            "application/json",
-            Some(id),
-        );
+        write_response(&mut response, &frame(id), body_out.as_bytes());
     });
     assert_eq!(
         allocations, 0,

@@ -4,10 +4,11 @@
 //! client keeps a small pool of keep-alive [`TcpStream`]s; a request
 //! checks a connection out, writes a `content-length`-framed request
 //! into a caller-owned scratch buffer (the reactor's zero-alloc
-//! discipline: buffers are reused across requests, the warm path
-//! allocates only when a response body outgrows its scratch), reads
-//! exactly one framed response, and returns the connection to the pool
-//! unless the backend asked to close.
+//! discipline: buffers are reused across requests), reads exactly one
+//! framed response, and returns the connection to the pool unless the
+//! backend asked to close. Requests and responses go through the
+//! engine's codec ([`fairrank_engine::http`]), so a backend response
+//! that breaks its framing rules is a transport error.
 //!
 //! Connections are retired after [`POOL_CONN_REQUESTS`] uses —
 //! deliberately below the backend's `--max-conn-requests` default
@@ -15,7 +16,8 @@
 //! connection ends, and a pooled stream is never stranded one write
 //! past the backend's limit.
 
-use std::io::{Read, Write};
+use fairrank_engine::http;
+use std::io::Write;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -169,118 +171,24 @@ fn exchange(
     body: &[u8],
     scratch: &mut Vec<u8>,
 ) -> std::io::Result<Response> {
-    scratch.clear();
-    scratch.extend_from_slice(method.as_bytes());
-    scratch.push(b' ');
-    scratch.extend_from_slice(path.as_bytes());
-    scratch.extend_from_slice(b" HTTP/1.1\r\nhost: fairrank-router\r\ncontent-length: ");
-    let mut digits = [0u8; 20];
-    scratch.extend_from_slice(format_usize(body.len(), &mut digits));
-    scratch.extend_from_slice(b"\r\n\r\n");
-    scratch.extend_from_slice(body);
+    http::write_request(scratch, method, path, body, true);
     conn.stream.write_all(scratch)?;
     conn.served += 1;
-    read_response(&mut conn.stream, scratch)
-}
-
-/// Format `value` into `digits` without allocating.
-fn format_usize(value: usize, digits: &mut [u8; 20]) -> &[u8] {
-    let mut index = digits.len();
-    let mut value = value;
-    loop {
-        index -= 1;
-        digits[index] = b'0' + (value % 10) as u8;
-        value /= 10;
-        if value == 0 {
-            break;
-        }
-    }
-    &digits[index..]
-}
-
-/// Read exactly one `content-length`-framed response (the engine never
-/// chunks) into `scratch` and parse status line plus the headers the
-/// router cares about.
-fn read_response(stream: &mut TcpStream, scratch: &mut Vec<u8>) -> std::io::Result<Response> {
-    scratch.clear();
-    let head_end = loop {
-        if let Some(pos) = scratch.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos + 4;
-        }
-        let mut chunk = [0u8; 4096];
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "backend closed mid-response",
-            ));
-        }
-        scratch.extend_from_slice(&chunk[..n]);
-    };
-    let head = std::str::from_utf8(&scratch[..head_end])
-        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "non-utf8 head"))?;
-    let status: u16 = head
-        .strip_prefix("HTTP/1.1 ")
-        .and_then(|rest| rest.get(..3))
-        .and_then(|code| code.parse().ok())
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line"))?;
-    let mut content_length = None;
-    let mut content_type = String::new();
-    let mut trace_id = None;
-    let mut retry_after = None;
-    let mut keep_alive = true;
-    for line in head.lines().skip(1) {
-        let Some((name, value)) = line.split_once(':') else {
-            continue;
-        };
-        let value = value.trim();
-        if name.eq_ignore_ascii_case("content-length") {
-            content_length = value.parse::<usize>().ok();
-        } else if name.eq_ignore_ascii_case("content-type") {
-            content_type = value.to_string();
-        } else if name.eq_ignore_ascii_case("x-trace-id") {
-            trace_id = Some(value.to_string());
-        } else if name.eq_ignore_ascii_case("retry-after") {
-            retry_after = value.parse::<u64>().ok();
-        } else if name.eq_ignore_ascii_case("connection") {
-            keep_alive = !value.eq_ignore_ascii_case("close");
-        }
-    }
-    let content_length = content_length.ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, "missing content-length")
-    })?;
-    while scratch.len() < head_end + content_length {
-        let mut chunk = [0u8; 4096];
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "backend closed mid-body",
-            ));
-        }
-        scratch.extend_from_slice(&chunk[..n]);
-    }
+    let mut response_body = Vec::new();
+    let head = http::read_response(&mut conn.stream, scratch, &mut response_body)?;
     Ok(Response {
-        status,
-        body: scratch[head_end..head_end + content_length].to_vec(),
-        content_type,
-        trace_id,
-        retry_after,
-        keep_alive,
+        status: head.status,
+        body: response_body,
+        content_type: head.content_type.to_string(),
+        trace_id: head.trace_id.map(str::to_string),
+        retry_after: head.retry_after,
+        keep_alive: !head.close,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn format_usize_renders_decimal() {
-        let mut digits = [0u8; 20];
-        assert_eq!(format_usize(0, &mut digits), b"0");
-        let mut digits = [0u8; 20];
-        assert_eq!(format_usize(10_245, &mut digits), b"10245");
-    }
 
     #[test]
     fn shed_window_expires() {

@@ -97,6 +97,9 @@ pub struct RouterStats {
     pub ring_churn: AtomicU64,
     /// Requests answered `503 no backends ready`.
     pub no_backend: AtomicU64,
+    /// Client connections shed with `503` at the connection-thread cap
+    /// or because no thread could be spawned.
+    pub rejected_connections: AtomicU64,
 }
 
 /// Outcome of forwarding one request.
@@ -315,14 +318,23 @@ impl RouterCore {
         let (tx, rx) = mpsc::sync_channel::<Attempt>(2);
         let timeout = self.config.request_timeout;
         let spawn_attempt = |client: Arc<BackendClient>, tx: mpsc::SyncSender<Attempt>| {
-            let method = method.to_string();
-            let path = path.to_string();
-            let body = body.to_vec();
-            std::thread::spawn(move || {
+            let run = {
+                let (client, tx) = (Arc::clone(&client), tx.clone());
+                let (method, path, body) = (method.to_string(), path.to_string(), body.to_vec());
+                move || {
+                    let mut scratch = Vec::new();
+                    let result = client.request(&method, &path, &body, timeout, &mut scratch);
+                    let _ = tx.send((client, result));
+                }
+            };
+            if std::thread::Builder::new().spawn(run).is_err() {
+                // no thread to overlap with: run the attempt inline
+                // (the channel holds both possible sends, so this
+                // cannot block)
                 let mut scratch = Vec::new();
-                let result = client.request(&method, &path, &body, timeout, &mut scratch);
+                let result = client.request(method, path, body, timeout, &mut scratch);
                 let _ = tx.send((client, result));
-            });
+            }
         };
         spawn_attempt(primary, tx.clone());
         let mut expected = 1;
@@ -358,30 +370,21 @@ impl RouterCore {
 
 /// One-shot `/readyz` probe: 200 within `timeout` means ready.
 fn probe_ready(addr: &str, timeout: Duration) -> bool {
-    use std::io::{Read, Write};
+    use std::io::Write;
     let Ok(mut stream) = std::net::TcpStream::connect(addr) else {
         return false;
     };
     if stream.set_read_timeout(Some(timeout)).is_err() {
         return false;
     }
-    let request =
-        b"GET /readyz HTTP/1.1\r\nhost: fairrank-router\r\nconnection: close\r\ncontent-length: 0\r\n\r\n";
-    if stream.write_all(request).is_err() {
+    let mut buf = Vec::new();
+    fairrank_engine::http::write_request(&mut buf, "GET", "/readyz", b"", false);
+    if stream.write_all(&buf).is_err() {
         return false;
     }
-    let mut head = [0u8; 15];
-    let mut filled = 0;
-    while filled < head.len() {
-        match stream.read(&mut head[filled..]) {
-            Ok(0) | Err(_) => return false,
-            Ok(n) => filled += n,
-        }
-    }
-    // drain the rest so the backend does not see a reset
-    let mut rest = [0u8; 512];
-    while matches!(stream.read(&mut rest), Ok(n) if n > 0) {}
-    head.starts_with(b"HTTP/1.1 200")
+    let mut body = Vec::new();
+    fairrank_engine::http::read_response(&mut stream, &mut buf, &mut body)
+        .is_ok_and(|head| head.status == 200)
 }
 
 #[cfg(test)]

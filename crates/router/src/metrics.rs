@@ -99,6 +99,11 @@ fn render_router_families(core: &RouterCore, out: &mut String) {
             MetricValue::Counter(stats.no_backend.load(Ordering::Relaxed)),
         ),
         MetricFamily::scalar(
+            "fairrank_router_rejected_connections_total",
+            "Client connections shed with 503 at the connection-thread cap.",
+            MetricValue::Counter(stats.rejected_connections.load(Ordering::Relaxed)),
+        ),
+        MetricFamily::scalar(
             "fairrank_router_backends_ready",
             "Backends currently in the hash ring.",
             MetricValue::Gauge(ready),

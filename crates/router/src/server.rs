@@ -3,8 +3,16 @@
 //! Thread-per-connection with keep-alive: the router is I/O-bound (it
 //! holds a connection open while a backend computes), so a blocked
 //! thread per client connection is the right shape — unlike the
-//! engine's reactor, there is no CPU work to protect. Buffers are
-//! per-connection and reused across requests.
+//! engine's reactor, there is no CPU work to protect. Live connection
+//! threads are capped at `MAX_CONN_THREADS`; a connection past the
+//! cap, or one whose thread the OS refuses, is shed with `503` +
+//! `Retry-After: 1`. Buffers are per-connection and reused across
+//! requests.
+//!
+//! Framing is the engine's codec ([`fairrank_engine::http`]): the same
+//! size caps, the same rejection of `Transfer-Encoding` and
+//! conflicting `Content-Length`, and the same `400 {"error":…}` +
+//! close for a request that breaks them.
 //!
 //! Every response carries `x-trace-id` (the router's own id for the
 //! hop). Forwarded responses add `x-backend` (the owning replica) and
@@ -12,16 +20,18 @@
 //! be joined across tiers. Bodies are forwarded byte-for-byte.
 
 use crate::{jobs, metrics, ForwardOutcome, RouterCore};
+use fairrank_engine::http::{self, Frame, Incoming, RequestReader};
 use fairrank_engine::json::JsonArena;
-use std::io::{Read, Write};
+use std::borrow::Cow;
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Largest accepted request body (matches a generous batch submit).
-const MAX_BODY: usize = 8 * 1024 * 1024;
+/// Live client-connection threads; a connection past the cap is shed.
+const MAX_CONN_THREADS: usize = 1024;
 
 /// Keep-alive requests served per client connection.
 const MAX_CONN_REQUESTS: usize = 1024;
@@ -59,7 +69,8 @@ impl RouterServer {
 
         let prober_core = Arc::clone(&self.core);
         let prober_stop = Arc::clone(&stop);
-        threads.push(std::thread::spawn(move || {
+        let prober = std::thread::Builder::new().name("fairrank-router-probe".to_string());
+        threads.push(prober.spawn(move || {
             // the first round runs immediately so the ring fills as
             // soon as backends answer, not one interval later
             while !prober_stop.load(Ordering::SeqCst) {
@@ -73,22 +84,15 @@ impl RouterServer {
                     slept += slice;
                 }
             }
-        }));
+        })?);
 
         let accept_core = Arc::clone(&self.core);
         let accept_stop = Arc::clone(&stop);
         let listener = self.listener;
-        threads.push(std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                if accept_stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                let core = Arc::clone(&accept_core);
-                let stop = Arc::clone(&accept_stop);
-                std::thread::spawn(move || handle_connection(&core, stream, &stop));
-            }
-        }));
+        let acceptor = std::thread::Builder::new().name("fairrank-router-accept".to_string());
+        threads.push(acceptor.spawn(move || {
+            accept_loop(&listener, &accept_core, &accept_stop, MAX_CONN_THREADS);
+        })?);
 
         Ok(RouterHandle {
             core: self.core,
@@ -121,123 +125,114 @@ impl RouterHandle {
     }
 }
 
+/// Serve each accepted connection on its own thread while fewer than
+/// `cap` are live; shed the rest (and any the OS refuses a thread for)
+/// with `503` + `Retry-After: 1`.
+fn accept_loop(listener: &TcpListener, core: &Arc<RouterCore>, stop: &Arc<AtomicBool>, cap: usize) {
+    let live = Arc::new(AtomicUsize::new(0));
+    let rejected = &core.stats.rejected_connections;
+    for stream in listener.incoming() {
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        let Ok(stream) = stream else { continue };
+        // the thread gets a dup of the socket so that on spawn failure
+        // this loop still owns a handle to answer 503 on
+        let admitted = live.load(Ordering::SeqCst) < cap
+            && stream
+                .try_clone()
+                .and_then(|thread_stream| {
+                    let core = Arc::clone(core);
+                    let stop = Arc::clone(stop);
+                    let slot = LiveSlot::take(&live);
+                    std::thread::Builder::new()
+                        .name("fairrank-router-conn".to_string())
+                        .spawn(move || {
+                            let _slot = slot;
+                            handle_connection(&core, thread_stream, &stop);
+                        })
+                })
+                .is_ok();
+        if !admitted {
+            http::shed(stream, http::OVERLOADED_BODY, Some(1), rejected);
+        }
+    }
+}
+
+/// One live connection thread, released on drop — also when the spawn
+/// that was to own it fails and drops the closure.
+struct LiveSlot(Arc<AtomicUsize>);
+
+impl LiveSlot {
+    fn take(live: &Arc<AtomicUsize>) -> LiveSlot {
+        live.fetch_add(1, Ordering::SeqCst);
+        LiveSlot(Arc::clone(live))
+    }
+}
+
+impl Drop for LiveSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 /// Per-connection reusable buffers.
 struct ConnBuffers {
-    input: Vec<u8>,
+    reader: RequestReader,
     response: Vec<u8>,
     scratch: Vec<u8>,
     arena: JsonArena,
 }
 
 fn handle_connection(core: &Arc<RouterCore>, mut stream: TcpStream, stop: &Arc<AtomicBool>) {
-    stream.set_nodelay(true).ok();
-    if stream.set_read_timeout(Some(IDLE_TIMEOUT)).is_err() {
-        return;
-    }
     let mut buffers = ConnBuffers {
-        input: Vec::with_capacity(4096),
+        reader: RequestReader::default(),
         response: Vec::with_capacity(4096),
         scratch: Vec::with_capacity(4096),
         arena: JsonArena::new(),
     };
+    if buffers.reader.begin(&stream, IDLE_TIMEOUT).is_err() {
+        return;
+    }
     for served in 0..MAX_CONN_REQUESTS {
-        let Some(request) = read_request(&mut stream, &mut buffers.input) else {
-            return;
-        };
+        match buffers.reader.next_request(&mut stream, IDLE_TIMEOUT) {
+            Incoming::Closed => return,
+            Incoming::Malformed(http::Malformed(message)) => {
+                let mut body = String::new();
+                http::write_error(&mut body, &message);
+                http::reject(&mut stream, &body, &mut buffers.response);
+                return;
+            }
+            Incoming::Request => {}
+        }
         let keep_alive =
-            request.keep_alive && served + 1 < MAX_CONN_REQUESTS && !stop.load(Ordering::SeqCst);
-        let answer = dispatch(core, &request, &mut buffers);
-        let trace_id = next_trace_id();
-        buffers.response.clear();
-        write_response(&mut buffers.response, &answer, trace_id, keep_alive);
+            !buffers.reader.close && served + 1 < MAX_CONN_REQUESTS && !stop.load(Ordering::SeqCst);
+        let answer = dispatch(core, &mut buffers);
+        let frame = Frame {
+            status: answer.status,
+            content_type: &answer.content_type,
+            keep_alive,
+            retry_after: answer.retry_after,
+            trace_id: Some(next_trace_id()),
+            backend: answer.backend.as_deref(),
+            backend_trace_id: answer.backend_trace.as_deref(),
+        };
+        http::write_response(&mut buffers.response, &frame, &answer.body);
         if stream.write_all(&buffers.response).is_err() {
             return;
         }
-        let consumed = request.consumed;
-        buffers.input.drain(..consumed);
+        buffers.reader.trim();
         if !keep_alive {
             return;
         }
     }
 }
 
-/// A parsed client request (borrowing nothing: the front copies the
-/// few strings it needs so the input buffer can be drained).
-struct Request {
-    method: String,
-    path: String,
-    body_start: usize,
-    body_len: usize,
-    consumed: usize,
-    keep_alive: bool,
-}
-
-impl Request {
-    fn body<'a>(&self, input: &'a [u8]) -> &'a [u8] {
-        &input[self.body_start..self.body_start + self.body_len]
-    }
-}
-
-/// Read one `content-length`-framed request. `None` ends the
-/// connection (EOF, timeout, malformed head, oversized body).
-fn read_request(stream: &mut TcpStream, input: &mut Vec<u8>) -> Option<Request> {
-    let head_end = loop {
-        if let Some(pos) = input.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos + 4;
-        }
-        if input.len() > 64 * 1024 {
-            return None;
-        }
-        let mut chunk = [0u8; 4096];
-        match stream.read(&mut chunk) {
-            Ok(0) | Err(_) => return None,
-            Ok(n) => input.extend_from_slice(&chunk[..n]),
-        }
-    };
-    let head = std::str::from_utf8(&input[..head_end]).ok()?;
-    let mut lines = head.lines();
-    let request_line = lines.next()?;
-    let mut parts = request_line.split(' ');
-    let method = parts.next()?.to_string();
-    let path = parts.next()?.to_string();
-    let mut content_length = 0usize;
-    let mut keep_alive = true;
-    for line in lines {
-        let Some((name, value)) = line.split_once(':') else {
-            continue;
-        };
-        let value = value.trim();
-        if name.eq_ignore_ascii_case("content-length") {
-            content_length = value.parse().ok()?;
-        } else if name.eq_ignore_ascii_case("connection") {
-            keep_alive = !value.eq_ignore_ascii_case("close");
-        }
-    }
-    if content_length > MAX_BODY {
-        return None;
-    }
-    while input.len() < head_end + content_length {
-        let mut chunk = [0u8; 4096];
-        match stream.read(&mut chunk) {
-            Ok(0) | Err(_) => return None,
-            Ok(n) => input.extend_from_slice(&chunk[..n]),
-        }
-    }
-    Some(Request {
-        method,
-        path,
-        body_start: head_end,
-        body_len: content_length,
-        consumed: head_end + content_length,
-        keep_alive,
-    })
-}
-
 /// A fully decided response, ready for framing.
 struct Answer {
     status: u16,
     body: Vec<u8>,
-    content_type: &'static str,
+    content_type: Cow<'static, str>,
     backend: Option<String>,
     backend_trace: Option<String>,
     retry_after: Option<u64>,
@@ -248,7 +243,7 @@ impl Answer {
         Answer {
             status,
             body: body.into_bytes(),
-            content_type: "application/json",
+            content_type: Cow::Borrowed(http::JSON_CONTENT_TYPE),
             backend: None,
             backend_trace: None,
             retry_after: None,
@@ -260,10 +255,14 @@ impl Answer {
     }
 }
 
-fn dispatch(core: &Arc<RouterCore>, request: &Request, buffers: &mut ConnBuffers) -> Answer {
-    let body = request.body(&buffers.input);
-    let method = request.method.as_str();
-    let path = request.path.as_str();
+fn dispatch(core: &Arc<RouterCore>, buffers: &mut ConnBuffers) -> Answer {
+    let ConnBuffers {
+        reader,
+        scratch,
+        arena,
+        ..
+    } = buffers;
+    let (method, path, body) = (reader.method.as_str(), reader.path.as_str(), &reader.body);
     match (method, path) {
         ("GET", "/healthz") => Answer::json(
             200,
@@ -289,23 +288,23 @@ fn dispatch(core: &Arc<RouterCore>, request: &Request, buffers: &mut ConnBuffers
         }
         ("GET", "/metrics") => {
             let mut out = String::new();
-            metrics::render(core, &mut out, &mut buffers.scratch);
+            metrics::render(core, &mut out, scratch);
             Answer {
                 status: 200,
                 body: out.into_bytes(),
-                content_type: "text/plain; version=0.0.4",
+                content_type: Cow::Borrowed("text/plain; version=0.0.4"),
                 backend: None,
                 backend_trace: None,
                 retry_after: None,
             }
         }
         ("POST", "/rank" | "/aggregate" | "/pipeline") => {
-            let key = request_key(path, body, &mut buffers.arena);
-            match core.forward(method, path, body, key, &mut buffers.scratch) {
+            let key = request_key(path, body, arena);
+            match core.forward(method, path, body, key, scratch) {
                 ForwardOutcome::NoBackends => Answer::no_backends(),
                 ForwardOutcome::Forwarded { backend, response } => Answer {
                     status: response.status,
-                    content_type: content_type_static(&response.content_type),
+                    content_type: Cow::Owned(response.content_type),
                     retry_after: response.retry_after,
                     body: response.body,
                     backend: Some(backend),
@@ -314,21 +313,15 @@ fn dispatch(core: &Arc<RouterCore>, request: &Request, buffers: &mut ConnBuffers
             }
         }
         ("POST", "/jobs") => {
-            let key = request_key(path, body, &mut buffers.arena);
-            answer_from_job(jobs::submit(core, body, key, &mut buffers.scratch))
+            let key = request_key(path, body, arena);
+            answer_from_job(jobs::submit(core, body, key, scratch))
         }
-        ("GET", _) if path.starts_with("/jobs/") => answer_from_job(jobs::poll(
-            core,
-            &path["/jobs/".len()..],
-            "GET",
-            &mut buffers.scratch,
-        )),
-        ("DELETE", _) if path.starts_with("/jobs/") => answer_from_job(jobs::poll(
-            core,
-            &path["/jobs/".len()..],
-            "DELETE",
-            &mut buffers.scratch,
-        )),
+        ("GET", _) if path.starts_with("/jobs/") => {
+            answer_from_job(jobs::poll(core, &path["/jobs/".len()..], "GET", scratch))
+        }
+        ("DELETE", _) if path.starts_with("/jobs/") => {
+            answer_from_job(jobs::poll(core, &path["/jobs/".len()..], "DELETE", scratch))
+        }
         ("GET" | "POST" | "DELETE", _) => {
             Answer::json(404, "{\"error\":\"no such route\"}".to_string())
         }
@@ -340,7 +333,7 @@ fn answer_from_job(answer: jobs::JobAnswer) -> Answer {
     Answer {
         status: answer.status,
         body: answer.body,
-        content_type: "application/json",
+        content_type: Cow::Borrowed(http::JSON_CONTENT_TYPE),
         backend: answer.backend,
         backend_trace: answer.backend_trace,
         retry_after: None,
@@ -361,59 +354,45 @@ fn request_key(path: &str, body: &[u8], arena: &mut JsonArena) -> u64 {
     })
 }
 
-/// Map a backend content-type onto the router's static strings (the
-/// engine only ever serves these two).
-fn content_type_static(content_type: &str) -> &'static str {
-    if content_type.starts_with("text/plain") {
-        "text/plain; version=0.0.4"
-    } else {
-        "application/json"
-    }
-}
-
 fn next_trace_id() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-fn reason(status: u16) -> &'static str {
-    match status {
-        200 => "OK",
-        202 => "Accepted",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        422 => "Unprocessable Entity",
-        502 => "Bad Gateway",
-        503 => "Service Unavailable",
-        _ => "Unknown",
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::RouterConfig;
+    use std::io::Read;
 
-fn write_response(out: &mut Vec<u8>, answer: &Answer, trace_id: u64, keep_alive: bool) {
-    use std::fmt::Write as _;
-    let mut head = String::with_capacity(256);
-    let _ = write!(
-        head,
-        "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nx-trace-id: {trace_id}\r\n",
-        answer.status,
-        reason(answer.status),
-        answer.content_type,
-        answer.body.len()
-    );
-    if let Some(backend) = &answer.backend {
-        let _ = write!(head, "x-backend: {backend}\r\n");
+    #[test]
+    fn connections_past_the_thread_cap_are_shed_with_503() {
+        let core = RouterCore::new(RouterConfig::default());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let accept = {
+            let (core, stop) = (Arc::clone(&core), Arc::clone(&stop));
+            std::thread::spawn(move || accept_loop(&listener, &core, &stop, 1))
+        };
+        // a served keep-alive connection holds the only slot
+        let mut held = TcpStream::connect(addr).unwrap();
+        let mut request = Vec::new();
+        http::write_request(&mut request, "GET", "/healthz", b"", true);
+        held.write_all(&request).unwrap();
+        let mut first = [0u8; 12];
+        held.read_exact(&mut first).unwrap();
+        assert_eq!(&first, b"HTTP/1.1 200");
+
+        let mut shed = TcpStream::connect(addr).unwrap();
+        let mut response = String::new();
+        shed.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 503"), "{response}");
+        assert!(response.contains("retry-after: 1\r\n"), "{response}");
+        assert_eq!(core.stats.rejected_connections.load(Ordering::Relaxed), 1);
+
+        stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(addr);
+        accept.join().unwrap();
     }
-    if let Some(backend_trace) = &answer.backend_trace {
-        let _ = write!(head, "x-backend-trace-id: {backend_trace}\r\n");
-    }
-    if let Some(secs) = answer.retry_after {
-        let _ = write!(head, "retry-after: {secs}\r\n");
-    }
-    if !keep_alive {
-        head.push_str("connection: close\r\n");
-    }
-    head.push_str("\r\n");
-    out.extend_from_slice(head.as_bytes());
-    out.extend_from_slice(&answer.body);
 }

@@ -205,8 +205,9 @@ fn total_backend_loss_degrades_to_503_not_a_hang() {
     router.shutdown();
 }
 
-/// A hand-rolled backend for failure shapes the engine won't produce
-/// on demand: always-shedding (503 + Retry-After) or very slow.
+/// A hand-rolled backend for shapes the engine won't produce on demand:
+/// always-shedding (503 + Retry-After), very slow, or answering with a
+/// body of the given length.
 fn spawn_fake_backend(behavior: FakeBehavior) -> SocketAddr {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
@@ -223,6 +224,7 @@ fn spawn_fake_backend(behavior: FakeBehavior) -> SocketAddr {
 enum FakeBehavior {
     AlwaysShed,
     Slow(Duration),
+    Huge(usize),
 }
 
 fn serve_fake(mut stream: TcpStream, behavior: FakeBehavior) {
@@ -265,9 +267,20 @@ fn serve_fake(mut stream: TcpStream, behavior: FakeBehavior) {
                 std::thread::sleep(delay);
                 "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 11\r\nconnection: close\r\n\r\n{\"ok\":true}".to_string()
             }
+            FakeBehavior::Huge(len) => format!(
+                "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: {len}\r\nconnection: close\r\n\r\n"
+            ),
         }
     };
     let _ = stream.write_all(response.as_bytes());
+    if let (FakeBehavior::Huge(len), false) = (behavior, head.starts_with("GET /readyz")) {
+        let _ = stream.write_all(&huge_body(len));
+    }
+}
+
+/// `len` bytes of `0,1,2,…,9,0,…`.
+fn huge_body(len: usize) -> Vec<u8> {
+    (0..len).map(|i| b"0,1,2,3,4,5,6,7,8,9,"[i % 20]).collect()
 }
 
 /// Read a `fairrank_router_*` counter out of the router's /metrics.
@@ -307,6 +320,35 @@ fn shed_503s_are_retried_on_the_next_owner() {
 
     router.shutdown();
     backend.shutdown();
+}
+
+#[test]
+fn responses_larger_than_the_request_body_cap_are_forwarded() {
+    // the 16 MiB cap bounds request bodies only: a well-formed answer
+    // may be larger than its request, and must neither fail nor evict
+    // the backend that sent it
+    let len = fairrank_engine::http::MAX_BODY + 4096;
+    let backend = spawn_fake_backend(FakeBehavior::Huge(len));
+    let router = spawn_router(vec![backend.to_string()], 30, 0);
+    wait_ready(router.addr(), 1);
+
+    for seed in 300..302u64 {
+        let (status, head, body) = http(router.addr(), "POST", "/rank", &rank_body(seed));
+        assert_eq!(status, 200, "{head}");
+        assert_eq!(
+            header(&head, "content-length"),
+            Some(len.to_string().as_str())
+        );
+        assert!(body.as_bytes() == huge_body(len).as_slice(), "body differs");
+    }
+    let (_, _, health) = http(router.addr(), "GET", "/healthz", "");
+    assert!(health.contains("\"backends_ready\":1"), "{health}");
+    assert_eq!(
+        router_counter(router.addr(), "fairrank_router_retries_total"),
+        0
+    );
+
+    router.shutdown();
 }
 
 #[test]

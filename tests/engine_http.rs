@@ -91,9 +91,9 @@ fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
 }
 
 /// A keep-alive HTTP client: one connection, sequential requests,
-/// responses framed by `content-length`. (A sibling minimal reader
-/// lives in `crates/bench/benches/http_throughput.rs` — keep framing
-/// changes in sync.)
+/// responses framed by `content-length`. Deliberately independent of
+/// `fairrank_engine::http`: it is the oracle the shared codec's framing
+/// is checked against, so it must not be rebuilt on that codec.
 struct KeepAliveClient {
     stream: TcpStream,
     buf: Vec<u8>,
