@@ -37,7 +37,7 @@ pub use ilp_ranking::{noisy_tables, optimal_fair_ranking_dp, optimal_fair_rankin
 pub use ipf::{approx_multi_valued_ipf, IpfConfig, IpfOutput};
 pub use multi_kt::optimal_fair_ranking_kt;
 pub use top_k::{fair_top_k, fair_top_k_ranking, FairnessMode};
-pub use weakly_fair::weakly_fair_ranking;
+pub use weakly_fair::{weakly_fair_from_order, weakly_fair_ranking};
 
 /// Errors raised by the baseline algorithms.
 #[derive(Debug, Clone, PartialEq)]

@@ -13,13 +13,17 @@
 //!    globally highest-scored remaining item is placed — the violation is
 //!    tolerated exactly like the reference implementation does.
 
-use fairness_metrics::{FairnessBounds, GroupAssignment};
+use fairness_metrics::{BoundSteps, FairnessBounds, GroupAssignment};
 use ranking_core::Permutation;
 
 /// Greedy weakly-fair ranking by descending score (see module docs).
 ///
 /// Always returns a complete ranking; callers needing a fairness
 /// certificate should check it with `fairness_metrics::pfair`.
+///
+/// Sorts the scores and compiles the bound steps, then runs
+/// [`weakly_fair_from_order`]; a caller already holding both passes
+/// them there directly.
 ///
 /// # Panics
 /// Panics when `scores.len() != groups.len()` or the bounds cover a
@@ -30,81 +34,109 @@ pub fn weakly_fair_ranking(
     groups: &GroupAssignment,
     bounds: &FairnessBounds,
 ) -> Permutation {
-    assert_eq!(scores.len(), groups.len(), "scores and groups must align");
+    let order = Permutation::sorted_by_scores_desc(scores);
+    weakly_fair_from_order(
+        scores,
+        groups,
+        order.as_order(),
+        &bounds.steps(scores.len()),
+    )
+}
+
+/// [`weakly_fair_ranking`] from the score order `order`
+/// (`Permutation::sorted_by_scores_desc(scores)`) and the bound steps
+/// `bounds.steps(n)`. Each group's queue is the score order filtered to
+/// its members, and the integer bounds of each prefix replay the step
+/// events instead of recomputing `⌊β_p·k⌋` / `⌈α_p·k⌉`.
+///
+/// # Panics
+/// Panics when `scores`, `groups`, `order` and `steps` disagree on the
+/// item or group count.
+pub fn weakly_fair_from_order(
+    scores: &[f64],
+    groups: &GroupAssignment,
+    order: &[usize],
+    steps: &BoundSteps,
+) -> Permutation {
+    let n = scores.len();
+    assert_eq!(n, groups.len(), "scores and groups must align");
+    assert_eq!(order.len(), n, "the score order must rank every item");
+    assert_eq!(steps.n(), n, "bound steps must cover every prefix");
     assert_eq!(
-        bounds.num_groups(),
+        steps.num_groups(),
         groups.num_groups(),
         "bounds must cover all groups"
     );
-    let n = scores.len();
     let g = groups.num_groups();
+    let ids = groups.as_slice();
 
-    // Per-group queues of items by descending score.
-    let mut queues: Vec<Vec<usize>> = (0..g).map(|p| groups.members(p)).collect();
-    for q in &mut queues {
-        q.sort_by(|&a, &b| {
-            scores[b]
-                .partial_cmp(&scores[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        q.reverse(); // pop() yields the best
+    // Every group's members by descending score, back to back: group p
+    // holds queue[head[p]..end[p]], its best remaining item at head[p].
+    let mut end = groups.group_sizes();
+    let mut head = vec![0usize; g];
+    let mut total = 0;
+    for p in 0..g {
+        head[p] = total;
+        total += end[p];
+        end[p] = total;
     }
-
+    let mut queue = vec![0usize; n];
+    let mut fill = head.clone();
+    for &item in order {
+        let p = ids[item];
+        queue[fill[p]] = item;
+        fill[p] += 1;
+    }
     let mut counts = vec![0usize; g];
-    let mut order = Vec::with_capacity(n);
+    let mut min_count = vec![0usize; g];
+    let mut max_count = vec![0usize; g];
+    let (min_steps, max_steps) = (steps.min_steps(), steps.max_steps());
+    let (mut mi, mut xi) = (0, 0);
+    let mut ranking = Vec::with_capacity(n);
 
     for k in 1..=n {
-        // 1. lower-bound pressure
-        let mut pick: Option<usize> = None;
-        let mut worst_deficit = 0isize;
+        while mi < min_steps.len() && min_steps[mi].0 as usize == k {
+            min_count[min_steps[mi].1 as usize] += 1;
+            mi += 1;
+        }
+        while xi < max_steps.len() && max_steps[xi].0 as usize == k {
+            max_count[max_steps[xi].1 as usize] += 1;
+            xi += 1;
+        }
+        // one pass over the non-empty queues finds all three candidates:
+        // 1. the most deficient group under lower-bound pressure,
+        // 2. the best-scored head whose group stays within its upper
+        //    bound, 3. the best-scored head ignoring bounds (fallback)
+        let mut deficient: Option<usize> = None;
+        let mut worst_deficit = 0usize;
+        let mut feasible: Option<(f64, usize)> = None;
+        let mut any: Option<(f64, usize)> = None;
         for p in 0..g {
-            if queues[p].is_empty() {
+            if head[p] == end[p] {
                 continue;
             }
-            let deficit = bounds.min_count(p, k) as isize - counts[p] as isize;
+            let deficit = min_count[p].saturating_sub(counts[p]);
             if deficit > worst_deficit {
                 worst_deficit = deficit;
-                pick = Some(p);
+                deficient = Some(p);
+            }
+            let s = scores[queue[head[p]]];
+            if counts[p] < max_count[p] && feasible.is_none_or(|(bs, _)| s > bs) {
+                feasible = Some((s, p));
+            }
+            if any.is_none_or(|(bs, _)| s > bs) {
+                any = Some((s, p));
             }
         }
-        // 2. best-scored feasible item
-        if pick.is_none() {
-            let mut best: Option<(f64, usize)> = None;
-            for p in 0..g {
-                let Some(&head) = queues[p].last() else {
-                    continue;
-                };
-                if counts[p] + 1 > bounds.max_count(p, k) {
-                    continue;
-                }
-                let s = scores[head];
-                if best.is_none_or(|(bs, _)| s > bs) {
-                    best = Some((s, p));
-                }
-            }
-            pick = best.map(|(_, p)| p);
-        }
-        // 3. fallback: ignore bounds
-        if pick.is_none() {
-            let mut best: Option<(f64, usize)> = None;
-            for p in 0..g {
-                let Some(&head) = queues[p].last() else {
-                    continue;
-                };
-                let s = scores[head];
-                if best.is_none_or(|(bs, _)| s > bs) {
-                    best = Some((s, p));
-                }
-            }
-            pick = best.map(|(_, p)| p);
-        }
-        let p = pick.expect("some queue is non-empty while k <= n");
-        let item = queues[p].pop().expect("picked group has a head");
-        counts[p] += 1;
-        order.push(item);
+        let pick = deficient
+            .or(feasible.map(|(_, p)| p))
+            .or(any.map(|(_, p)| p))
+            .expect("some queue is non-empty while k <= n");
+        ranking.push(queue[head[pick]]);
+        head[pick] += 1;
+        counts[pick] += 1;
     }
-    Permutation::from_order_unchecked(order)
+    Permutation::from_order_unchecked(ranking)
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 //! Criterion-kernel speed pass: the compiled evaluator path
-//! (precomputed discount/bound tables, blocked decode, exact
+//! (precomputed discount/bound tables, reused decode buffers, exact
 //! early-abandon) measured at serving scale, n = 10³ / 10⁴ / 10⁵.
 //!
 //! Three legs per size — `ndcg`, `infeasible`, `weighted` — each

@@ -368,7 +368,7 @@ pub fn metrics(args: &Args) -> Result<String> {
     let ndcg = quality::ndcg(&pi, &table.scores).map_err(algo_err)?;
     let ii =
         infeasible::two_sided_infeasible_index(&pi, &table.groups, &bounds).map_err(algo_err)?;
-    let pf = infeasible::pfair_percentage(&pi, &table.groups, &bounds).map_err(algo_err)?;
+    let pf = infeasible::pfair_from_index(ii, n);
     let ndkl = divergence::ndkl(&pi, &table.groups).map_err(algo_err)?;
     let min_skew = divergence::min_skew_at(&pi, &table.groups, at).map_err(algo_err)?;
     let max_skew = divergence::max_skew_at(&pi, &table.groups, at).map_err(algo_err)?;

@@ -8,7 +8,7 @@
 //! read directly off the insertion code without decoding), and only a
 //! winning sample is ever decoded into the best-so-far buffer.
 
-use crate::kernel::{CriterionKernel, CriterionPlan};
+use crate::kernel::{CriterionKernel, CriterionPlan, Precomputed};
 use crate::{FairMallowsError, Result};
 use fairness_metrics::{infeasible, FairnessBounds, GroupAssignment};
 use mallows_model::tables::{RimSampler, SamplerTables};
@@ -16,11 +16,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ranking_core::{distance, quality, Permutation};
 use std::sync::Arc;
-
-/// Samples decoded and evaluated per block by the streaming loop: the
-/// codes are drawn up front, then the block's rows run through the
-/// compiled kernels over reused scratch buffers.
-const EVAL_BLOCK: usize = 8;
 
 /// Selection criterion for choosing among the `m` Mallows samples
 /// (Algorithm 1, line 8: `choose_ranking(c, samples)`).
@@ -231,11 +226,23 @@ impl MallowsFairRanker {
         tables: &Arc<SamplerTables>,
         rng: &mut R,
     ) -> Result<RankOutput> {
+        self.rank_precomputed(center, tables, Precomputed::default(), rng)
+    }
+
+    /// [`MallowsFairRanker::rank_with_tables`] reusing constants the
+    /// caller already derived for the criterion (see [`Precomputed`]).
+    pub fn rank_precomputed<R: Rng + ?Sized>(
+        &self,
+        center: &Permutation,
+        tables: &Arc<SamplerTables>,
+        pre: Precomputed<'_>,
+        rng: &mut R,
+    ) -> Result<RankOutput> {
         let m = match self.criterion {
             Criterion::FirstSample => 1,
             _ => self.num_samples,
         };
-        let plan = CriterionPlan::compile(&self.criterion, center.len())?;
+        let plan = CriterionPlan::compile(&self.criterion, center.len(), pre)?;
         let (obj, ranking, abandoned) = self.rank_streaming(center, tables, &plan, m, rng)?;
         Ok(RankOutput {
             ranking,
@@ -249,13 +256,12 @@ impl MallowsFairRanker {
     /// better) objective, the winning sample and the number of samples
     /// dropped by the early-abandon bound.
     ///
-    /// Samples are processed in blocks of [`EVAL_BLOCK`]: the block's
-    /// insertion codes are drawn first (the RNG stream is identical to
-    /// drawing them one at a time, since evaluation consumes no
-    /// randomness), then each row is decoded into a reused scratch
-    /// permutation and run through the compiled kernels — rows whose
-    /// pre-decode bound (exact Kendall term plus plan constants)
-    /// already disqualifies them skip the decode entirely.
+    /// Each sample's insertion code is drawn into one reused buffer,
+    /// decoded into one reused scratch permutation and run through the
+    /// compiled kernels — samples whose pre-decode bound (exact Kendall
+    /// term plus plan constants) already disqualifies them skip the
+    /// decode entirely. Holding one code and one row keeps both
+    /// cache-resident at large `n`.
     fn rank_streaming<R: Rng + ?Sized>(
         &self,
         center: &Permutation,
@@ -293,36 +299,29 @@ impl MallowsFairRanker {
             return Ok((best_obj, best, 0));
         }
         let mut kernel = CriterionKernel::new(plan);
-        let block = EVAL_BLOCK.min(m.max(1));
-        let mut codes: Vec<Vec<usize>> = vec![Vec::new(); block];
-        let mut rows: Vec<Permutation> = vec![Permutation::identity(0); block];
+        let mut code = Vec::new();
+        // a new winner swaps its buffer with the old best
+        let mut row = Permutation::identity(0);
         let mut abandoned = 0u64;
-        let mut drawn = 0usize;
-        while drawn < m {
-            let b = (m - drawn).min(block);
-            for code in codes.iter_mut().take(b) {
-                tables.sample_code_into(n, code, rng);
+        for _ in 0..m {
+            tables.sample_code_into(n, &mut code, rng);
+            let code_total: u64 = code.iter().map(|&v| v as u64).sum();
+            let threshold = have_best.then_some(best_obj);
+            if plan.abandons_predecode(code_total, threshold) {
+                abandoned += 1;
+                continue;
             }
-            for (code, row) in codes.iter().zip(rows.iter_mut()).take(b) {
-                let code_total: u64 = code.iter().map(|&v| v as u64).sum();
-                let threshold = have_best.then_some(best_obj);
-                if plan.abandons_predecode(code_total, threshold) {
-                    abandoned += 1;
-                    continue;
-                }
-                sampler.decode_external_code_into(code, row);
-                match kernel.evaluate(plan, row, center, Some(code_total), threshold) {
-                    None => abandoned += 1,
-                    Some(obj) => {
-                        if !have_best || obj < best_obj {
-                            std::mem::swap(&mut best, row);
-                            best_obj = obj;
-                            have_best = true;
-                        }
+            sampler.decode_external_code_into(&code, &mut row);
+            match kernel.evaluate(plan, &row, center, Some(code_total), threshold) {
+                None => abandoned += 1,
+                Some(obj) => {
+                    if !have_best || obj < best_obj {
+                        std::mem::swap(&mut best, &mut row);
+                        best_obj = obj;
+                        have_best = true;
                     }
                 }
             }
-            drawn += b;
         }
         debug_assert!(have_best, "m ≥ 1 samples were drawn");
         Ok((best_obj, best, abandoned))
@@ -402,13 +401,34 @@ impl MallowsFairRanker {
         batches: usize,
         threads: usize,
     ) -> Result<RankOutput> {
+        self.rank_batched_precomputed(
+            center,
+            tables,
+            Precomputed::default(),
+            base_seed,
+            batches,
+            threads,
+        )
+    }
+
+    /// [`MallowsFairRanker::rank_batched`] reusing constants the caller
+    /// already derived for the criterion (see [`Precomputed`]).
+    pub fn rank_batched_precomputed(
+        &self,
+        center: &Permutation,
+        tables: &Arc<SamplerTables>,
+        pre: Precomputed<'_>,
+        base_seed: u64,
+        batches: usize,
+        threads: usize,
+    ) -> Result<RankOutput> {
         let m = match self.criterion {
             Criterion::FirstSample => 1,
             _ => self.num_samples,
         };
         let batches = batches.clamp(1, m);
         let threads = threads.clamp(1, batches);
-        let plan = CriterionPlan::compile(&self.criterion, center.len())?;
+        let plan = CriterionPlan::compile(&self.criterion, center.len(), pre)?;
         let plan = &plan;
         let run_batch = |b: usize| {
             // splitmix-style stream separation per batch
@@ -731,7 +751,7 @@ mod tests {
 
     #[test]
     fn streaming_rank_is_byte_identical_to_the_reference_path() {
-        // blocked decode + compiled kernels + early abandon must pick
+        // streamed decode + compiled kernels + early abandon must pick
         // the exact winner (and report the exact objective) the
         // unabridged scalar path picks, on the same RNG stream
         let groups = GroupAssignment::binary_split(12, 6);

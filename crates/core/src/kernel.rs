@@ -5,9 +5,12 @@
 //! recompute `m` times: the log₂ discount table (one transcendental
 //! per element instead of one per element *per sample*), the ideal
 //! DCG, per-part normalizers, and the infeasible-index bound-step
-//! tables ([`CompiledInfeasible`]). The plan is immutable and
-//! `Send + Sync`, so `rank_batched` shares one across its worker
-//! threads; each thread owns a small [`CriterionKernel`] scratch.
+//! tables ([`CompiledInfeasible`]). A caller that already holds the
+//! root criterion's ideal DCG or compiled bounds hands them over as
+//! [`Precomputed`] and the plan borrows them instead of recomputing.
+//! The plan is immutable and `Send + Sync`, so `rank_batched` shares
+//! one across its worker threads; each thread owns a small
+//! [`CriterionKernel`] scratch.
 //!
 //! Values are **bit-identical** to [`Criterion::objective`]: every
 //! accumulator adds the same terms in the same order, and the final
@@ -25,8 +28,24 @@
 use crate::{Criterion, FairMallowsError, Result};
 use fairness_metrics::infeasible::CompiledInfeasible;
 use fairness_metrics::FairnessError;
-use ranking_core::quality::{self, Discount};
+use ranking_core::quality::{self, Discount, IdealDcg};
 use ranking_core::{distance, Permutation};
+use std::borrow::Cow;
+
+/// Constants of the criterion's *root* that the caller has already
+/// derived for the ranking length, reused by the compiled plan instead
+/// of recomputed. Each must come from the root's own inputs: `ideal`
+/// from the [`Criterion::MaxNdcg`] scores, `infeasible` from the
+/// [`Criterion::MinInfeasibleIndex`] bounds (debug builds check both).
+/// Parts of a [`Criterion::Weighted`] root compile their own.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Precomputed<'p> {
+    /// IDCG and log₂ discount table of the root NDCG scores.
+    pub ideal: Option<&'p IdealDcg>,
+    /// The root infeasible-index bounds compiled for the ranking
+    /// length.
+    pub infeasible: Option<&'p CompiledInfeasible>,
+}
 
 /// Widest spacing between abandon-bound checks in the fused scan. The
 /// actual spacing adapts to the ranking length (see
@@ -84,7 +103,7 @@ pub(crate) struct CriterionPlan<'c> {
     ops: Vec<ScanOp<'c>>,
     /// `Discount::Log2.table(n)` — bit-identical to the pointwise calls
     /// the reference path makes. Empty when no NDCG part needs it.
-    discounts: Vec<f64>,
+    discounts: Cow<'c, [f64]>,
     ndcg_slots: usize,
     /// Compiled infeasible kernels with pristine scratch; each
     /// [`CriterionKernel`] clones its own working copies.
@@ -107,18 +126,25 @@ struct BuildCtx<'c> {
 impl<'c> CriterionPlan<'c> {
     /// Compile `criterion` for rankings of `n` items, validating every
     /// shape up front (the reference path re-validated per sample).
-    pub(crate) fn compile(criterion: &'c Criterion, n: usize) -> Result<CriterionPlan<'c>> {
+    pub(crate) fn compile(
+        criterion: &'c Criterion,
+        n: usize,
+        pre: Precomputed<'c>,
+    ) -> Result<CriterionPlan<'c>> {
+        if let Some(ideal) = pre.ideal {
+            check_len(ideal.discounts().len(), n)?;
+        }
         let mut ctx = BuildCtx {
             ops: Vec::new(),
             ndcg_slots: 0,
             inf_templates: Vec::new(),
             need_discounts: false,
         };
-        let root = build(criterion, n, &mut ctx)?;
-        let discounts = if ctx.need_discounts {
-            Discount::Log2.table(n)
-        } else {
-            Vec::new()
+        let root = build(criterion, n, &mut ctx, pre)?;
+        let discounts = match pre.ideal {
+            _ if !ctx.need_discounts => Cow::Owned(Vec::new()),
+            Some(ideal) => Cow::Borrowed(ideal.discounts()),
+            None => Cow::Owned(Discount::Log2.table(n)),
         };
         let abandonable = node_abandonable(&root);
         let abandon_slack = match &root {
@@ -168,17 +194,30 @@ impl<'c> CriterionPlan<'c> {
     }
 }
 
-fn build<'c>(criterion: &'c Criterion, n: usize, ctx: &mut BuildCtx<'c>) -> Result<Node> {
+fn check_len(expected: usize, got: usize) -> Result<()> {
+    if expected != got {
+        return Err(FairMallowsError::CriterionShape { expected, got });
+    }
+    Ok(())
+}
+
+fn build<'c>(
+    criterion: &'c Criterion,
+    n: usize,
+    ctx: &mut BuildCtx<'c>,
+    pre: Precomputed<'_>,
+) -> Result<Node> {
     match criterion {
         Criterion::FirstSample => Ok(Node::First),
         Criterion::MaxNdcg(scores) => {
-            if scores.len() != n {
-                return Err(FairMallowsError::CriterionShape {
-                    expected: scores.len(),
-                    got: n,
-                });
-            }
-            let idcg = quality::idcg(scores);
+            check_len(scores.len(), n)?;
+            let idcg = match pre.ideal {
+                Some(ideal) => {
+                    debug_assert_eq!(ideal.idcg().to_bits(), quality::idcg(scores).to_bits());
+                    ideal.idcg()
+                }
+                None => quality::idcg(scores),
+            };
             let slot = ctx.ndcg_slots;
             ctx.ndcg_slots += 1;
             if idcg != 0.0 {
@@ -202,12 +241,7 @@ fn build<'c>(criterion: &'c Criterion, n: usize, ctx: &mut BuildCtx<'c>) -> Resu
         }
         Criterion::MinKendallTau => Ok(Node::Kendall),
         Criterion::MinInfeasibleIndex { groups, bounds } => {
-            if groups.len() != n {
-                return Err(FairMallowsError::CriterionShape {
-                    expected: groups.len(),
-                    got: n,
-                });
-            }
+            check_len(groups.len(), n)?;
             if bounds.num_groups() != groups.num_groups() {
                 return Err(FairMallowsError::Fairness(
                     FairnessError::BoundsShapeMismatch {
@@ -217,8 +251,14 @@ fn build<'c>(criterion: &'c Criterion, n: usize, ctx: &mut BuildCtx<'c>) -> Resu
                 ));
             }
             let slot = ctx.inf_templates.len();
-            ctx.inf_templates
-                .push(CompiledInfeasible::compile(bounds, n));
+            ctx.inf_templates.push(match pre.infeasible {
+                Some(compiled) => {
+                    check_len(compiled.n(), n)?;
+                    debug_assert_eq!(compiled.steps(), &bounds.steps(n));
+                    compiled.clone()
+                }
+                None => CompiledInfeasible::compile(bounds, n),
+            });
             ctx.ops.push(ScanOp::Infeasible {
                 ids: groups.as_slice(),
                 slot,
@@ -234,7 +274,7 @@ fn build<'c>(criterion: &'c Criterion, n: usize, ctx: &mut BuildCtx<'c>) -> Resu
                     Criterion::MinInfeasibleIndex { .. } => (2 * n.max(1)) as f64,
                     _ => 1.0,
                 };
-                built.push((*w, norm, build(c, n, ctx)?));
+                built.push((*w, norm, build(c, n, ctx, Precomputed::default())?));
             }
             Ok(Node::Weighted(built))
         }
@@ -507,7 +547,7 @@ mod tests {
         let center = Permutation::sorted_by_scores_desc(&s);
         let model = MallowsModel::new(center.clone(), 0.6).unwrap();
         for criterion in &criteria {
-            let plan = CriterionPlan::compile(criterion, 12).unwrap();
+            let plan = CriterionPlan::compile(criterion, 12, Precomputed::default()).unwrap();
             let mut kernel = CriterionKernel::new(&plan);
             let mut rng = StdRng::seed_from_u64(13);
             for _ in 0..25 {
@@ -533,7 +573,7 @@ mod tests {
             (0.4, Criterion::MinInfeasibleIndex { groups, bounds }),
         ]);
         let center = Permutation::sorted_by_scores_desc(&s);
-        let plan = CriterionPlan::compile(&criterion, 10).unwrap();
+        let plan = CriterionPlan::compile(&criterion, 10, Precomputed::default()).unwrap();
         assert!(plan.abandonable);
         let mut kernel = CriterionKernel::new(&plan);
         let model = MallowsModel::new(center.clone(), 0.4).unwrap();
@@ -565,7 +605,7 @@ mod tests {
     #[test]
     fn negative_weights_disable_abandoning() {
         let criterion = Criterion::Weighted(vec![(-1.0, Criterion::MinKendallTau)]);
-        let plan = CriterionPlan::compile(&criterion, 6).unwrap();
+        let plan = CriterionPlan::compile(&criterion, 6, Precomputed::default()).unwrap();
         assert!(!plan.abandonable);
         assert!(!plan.abandons_predecode(100, Some(-100.0)));
     }
@@ -573,7 +613,7 @@ mod tests {
     #[test]
     fn predecode_abandon_uses_the_exact_kendall_term() {
         let criterion = Criterion::Weighted(vec![(1.0, Criterion::MinKendallTau)]);
-        let plan = CriterionPlan::compile(&criterion, 10).unwrap();
+        let plan = CriterionPlan::compile(&criterion, 10, Precomputed::default()).unwrap();
         let norm = distance::max_kendall_tau(10) as f64;
         // best = 8/45: a code total of 9 cannot win, 7 still can
         assert!(plan.abandons_predecode(9, Some(8.0 / norm)));

@@ -40,6 +40,7 @@ pub mod oblivious;
 pub mod tune;
 
 pub use algorithm::{Criterion, MallowsFairRanker, RankOutput};
+pub use kernel::Precomputed;
 pub use noise::{CenteredPlackettLuce, GenericFairRanker, NoiseModel};
 pub use tune::{expected_ndcg, theta_for_target_ndcg, NdcgCalibration};
 

@@ -1,8 +1,8 @@
 //! Property tests pinning the compiled criterion kernels to the
 //! unabridged scalar reference path: for every criterion shape, seed,
 //! batch split and thread count, the fast path (precompiled tables,
-//! blocked decode, exact early abandon) must pick the byte-identical
-//! winner and report the byte-identical objective.
+//! one reused decode buffer, exact early abandon) must pick the
+//! byte-identical winner and report the byte-identical objective.
 
 use fair_mallows::{Criterion, MallowsFairRanker};
 use fairness_metrics::{FairnessBounds, GroupAssignment};

@@ -194,10 +194,13 @@ impl Json {
 }
 
 /// Serialize an `f64` with the engine's canonical number format
-/// (integers without a fraction, non-finite values as `null`).
+/// (integers without a fraction, non-finite values as `null`). Every
+/// finite value parses back bit for bit, `-0.0` included.
 pub(crate) fn write_number(x: f64, out: &mut String) {
     if x.is_finite() {
-        if x == x.trunc() && x.abs() < 9.0e15 {
+        if x == 0.0 && x.is_sign_negative() {
+            out.push_str("-0");
+        } else if x == x.trunc() && x.abs() < 9.0e15 {
             let _ = write!(out, "{}", x as i64);
         } else {
             let _ = write!(out, "{x}");

@@ -10,19 +10,20 @@
 //! a `/jobs` chunk or the router.
 
 use crate::job::{Criterion, JobInput, RankJob, RankResult};
+use crate::plan::ScorePlan;
 use crate::tables::ExecContext;
 use crate::EngineError;
 use fair_baselines::{
     approx_multi_valued_ipf, det_const_sort, fa_ir, fair_top_k, gr_binary_ipf,
-    optimal_fair_ranking_dp, optimal_fair_ranking_kt, weakly_fair_ranking, DetConstSortConfig,
-    FaIrConfig, FairnessMode, IpfConfig,
+    optimal_fair_ranking_dp, optimal_fair_ranking_kt, DetConstSortConfig, FaIrConfig, FairnessMode,
+    IpfConfig,
 };
 use fair_mallows::MallowsFairRanker;
-use fairness_metrics::{infeasible, FairnessBounds, GroupAssignment};
+use fairness_metrics::{FairnessBounds, GroupAssignment};
 use fairness_ranking::pipeline::{Aggregator, PipelineSpec, PostProcessor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use ranking_core::quality::{self, Discount};
+use ranking_core::quality::Discount;
 use ranking_core::Permutation;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -337,13 +338,16 @@ fn run_score_algorithm(
     let p = &job.params;
     let n = scores.len();
     let k = p.k.unwrap_or(n).min(n);
-    let bounds = FairnessBounds::from_assignment_with_tolerance(&groups, p.tolerance);
+    // one sort and one bound compile, read by the centre, the kernel
+    // and the report
+    let mut plan = ScorePlan::new(scores, groups, p.tolerance);
+    let (groups, bounds) = (plan.groups(), plan.bounds());
     // per-algorithm extras appended after the shared utility/fairness
     // report (e.g. the mallows early-abandon counter surfaced in
     // `/stats` as `criterion_samples_abandoned`)
     let mut extra_metrics: Vec<(String, f64)> = Vec::new();
     let order: Vec<usize> = match name {
-        "weakly-fair" => weakly_fair_ranking(scores, &groups, &bounds).into_order(),
+        "weakly-fair" => plan.centre().into_order(),
         "mallows" => {
             let criterion = match p.criterion {
                 Criterion::Ndcg => fair_mallows::Criterion::MaxNdcg(scores.to_vec()),
@@ -354,23 +358,25 @@ fn run_score_algorithm(
                 Criterion::Kendall => fair_mallows::Criterion::MinKendallTau,
             };
             let ranker = MallowsFairRanker::new(p.theta, p.samples, criterion).map_err(algo_err)?;
-            let center = weakly_fair_ranking(scores, &groups, &bounds);
+            let center = plan.centre();
             // the insertion-CDF table is cached across requests keyed
             // on (n, θ); wide sample counts fan out across threads
             let tables = ctx
                 .tables
                 .get_or_build(center.len(), p.theta)
                 .map_err(algo_err)?;
+            let pre = plan.precomputed();
             let out = if p.samples >= PARALLEL_SAMPLE_THRESHOLD {
-                ranker.rank_batched(
+                ranker.rank_batched_precomputed(
                     &center,
                     &tables,
+                    pre,
                     p.seed,
                     mallows_batches(p.samples),
                     ctx.batch_threads,
                 )
             } else {
-                ranker.rank_with_tables(&center, &tables, rng)
+                ranker.rank_precomputed(&center, &tables, pre, rng)
             };
             let out = out.map_err(algo_err)?;
             extra_metrics.push((
@@ -381,8 +387,8 @@ fn run_score_algorithm(
         }
         "detconstsort" => det_const_sort(
             scores,
-            &groups,
-            &bounds,
+            groups,
+            bounds,
             &DetConstSortConfig {
                 noise_sd: p.noise_sd,
             },
@@ -393,11 +399,10 @@ fn run_score_algorithm(
         "ipf" => {
             // IPF post-processes the weakly-fair ranking (the paper's
             // pipeline input), not the raw score order
-            let sigma = weakly_fair_ranking(scores, &groups, &bounds);
             approx_multi_valued_ipf(
-                &sigma,
-                &groups,
-                &bounds,
+                &plan.centre(),
+                groups,
+                bounds,
                 &IpfConfig {
                     noise_sd: p.noise_sd,
                 },
@@ -407,32 +412,26 @@ fn run_score_algorithm(
             .ranking
             .into_order()
         }
-        "exact-kt" => {
-            let sigma = Permutation::sorted_by_scores_desc(scores);
-            optimal_fair_ranking_kt(&sigma, &groups, &bounds.tables(n))
-                .map_err(algo_err)?
-                .into_order()
-        }
-        "gr-binary" => {
-            let sigma = Permutation::sorted_by_scores_desc(scores);
-            gr_binary_ipf(&sigma, &groups, &bounds)
-                .map_err(algo_err)?
-                .into_order()
-        }
+        "exact-kt" => optimal_fair_ranking_kt(plan.order(), groups, &bounds.tables(n))
+            .map_err(algo_err)?
+            .into_order(),
+        "gr-binary" => gr_binary_ipf(plan.order(), groups, bounds)
+            .map_err(algo_err)?
+            .into_order(),
         "ilp" => {
             let tables = if p.noise_sd > 0.0 {
-                fair_baselines::noisy_tables(&bounds, n, p.noise_sd, rng)
+                fair_baselines::noisy_tables(bounds, n, p.noise_sd, rng)
             } else {
                 bounds.tables(n)
             };
-            optimal_fair_ranking_dp(scores, &groups, &tables, Discount::Log2)
+            optimal_fair_ranking_dp(scores, groups, &tables, Discount::Log2)
                 .map_err(algo_err)?
                 .into_order()
         }
         "fair-top-k" => fair_top_k(
             scores,
-            &groups,
-            &bounds,
+            groups,
+            bounds,
             k,
             FairnessMode::Weak,
             Discount::Log2,
@@ -452,11 +451,11 @@ fn run_score_algorithm(
                 significance: p.alpha,
                 adjust: true,
             };
-            fa_ir(scores, &groups, p.protected, k, &config).map_err(algo_err)?
+            fa_ir(scores, groups, p.protected, k, &config).map_err(algo_err)?
         }
         other => return Err(EngineError::UnknownAlgorithm(other.to_string())),
     };
-    let mut metrics = score_metrics(&order, scores, &groups, p.tolerance)?;
+    let mut metrics = plan.report(&order);
     metrics.extend(extra_metrics);
     Ok(RankResult {
         algorithm: job.algorithm.clone(),
@@ -466,52 +465,11 @@ fn run_score_algorithm(
     })
 }
 
-/// Utility + fairness report for a (possibly truncated) ranking (the
-/// `fairrank rank` footer): NDCG within the selection and
-/// versus the pool ideal, infeasible index and P-fair percentage over
-/// the selected items.
-fn score_metrics(
-    order: &[usize],
-    scores: &[f64],
-    groups: &GroupAssignment,
-    tolerance: f64,
-) -> Result<Vec<(String, f64)>, EngineError> {
-    let sub_scores: Vec<f64> = order.iter().map(|&i| scores[i]).collect();
-    let sub_groups = groups.subset(order);
-    let sub_bounds = FairnessBounds::from_assignment_with_tolerance(&sub_groups, tolerance);
-    let pi = Permutation::identity(order.len());
-    let ndcg = quality::ndcg(&pi, &sub_scores).map_err(algo_err)?;
-    let mut ideal = scores.to_vec();
-    ideal.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
-    let pool_idcg: f64 = ideal
-        .iter()
-        .take(order.len())
-        .enumerate()
-        .map(|(i, s)| s * Discount::Log2.at(i + 1))
-        .sum();
-    let dcg: f64 = sub_scores
-        .iter()
-        .enumerate()
-        .map(|(i, s)| s * Discount::Log2.at(i + 1))
-        .sum();
-    let ii =
-        infeasible::two_sided_infeasible_index(&pi, &sub_groups, &sub_bounds).map_err(algo_err)?;
-    let pf = infeasible::pfair_percentage(&pi, &sub_groups, &sub_bounds).map_err(algo_err)?;
-    let mut metrics = vec![
-        ("ndcg_within_selection".to_string(), ndcg),
-        ("infeasible_index".to_string(), ii as f64),
-        ("pfair_percentage".to_string(), pf),
-    ];
-    if pool_idcg > 0.0 {
-        metrics.insert(1, ("ndcg_vs_pool".to_string(), dcg / pool_idcg));
-    }
-    Ok(metrics)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::job::JobParams;
+    use fair_baselines::weakly_fair_ranking;
 
     fn scores_job(algorithm: &str) -> RankJob {
         RankJob {

@@ -84,14 +84,14 @@ impl FairnessBounds {
     /// `⌊β_p·k⌋`.
     #[inline]
     pub fn min_count(&self, p: usize, k: usize) -> usize {
-        (self.lower[p] * k as f64).floor() as usize
+        floor_count(self.lower[p] * k as f64)
     }
 
     /// Integer upper bound for group `p` in a prefix of length `k`:
     /// `⌈α_p·k⌉`.
     #[inline]
     pub fn max_count(&self, p: usize, k: usize) -> usize {
-        (self.upper[p] * k as f64).ceil() as usize
+        ceil_count(self.upper[p] * k as f64)
     }
 
     /// Compile the integer bound-*step* tables for prefixes `1..=n`:
@@ -103,20 +103,23 @@ impl FairnessBounds {
     /// float multiply/floor/ceil per sample.
     pub fn steps(&self, n: usize) -> BoundSteps {
         let g = self.num_groups();
-        let mut min_steps = Vec::new();
-        let mut max_steps = Vec::new();
+        // the bounds only grow, so the events of group p number exactly
+        // its bounds at prefix n
+        let mut min_steps = Vec::with_capacity((0..g).map(|p| self.min_count(p, n)).sum());
+        let mut max_steps = Vec::with_capacity((0..g).map(|p| self.max_count(p, n)).sum());
         let mut cur_min = vec![0usize; g];
         let mut cur_max = vec![0usize; g];
         for k in 1..=n {
+            let kf = k as f64;
             for p in 0..g {
-                // derived through the very same float functions the
-                // naive evaluator calls, so replay is exactly identical
-                let mn = self.min_count(p, k);
+                // the very same float expressions as `min_count` and
+                // `max_count`, so replay is exactly identical
+                let mn = floor_count(self.lower[p] * kf);
                 for _ in cur_min[p]..mn {
                     min_steps.push((k as u32, p as u32));
                 }
                 cur_min[p] = mn;
-                let mx = self.max_count(p, k);
+                let mx = ceil_count(self.upper[p] * kf);
                 for _ in cur_max[p]..mx {
                     max_steps.push((k as u32, p as u32));
                 }
@@ -170,6 +173,21 @@ impl FairnessBounds {
         }
         true
     }
+}
+
+/// `⌊x⌋` of a non-negative product `x`: the truncating cast, without
+/// the libm call `f64::floor` compiles to on baseline x86-64.
+#[inline]
+fn floor_count(x: f64) -> usize {
+    x as usize
+}
+
+/// `⌈x⌉` of a non-negative product `x` through the truncating cast: a
+/// fractional part exists only below 2⁵², where `t as f64` is exact.
+#[inline]
+fn ceil_count(x: f64) -> usize {
+    let t = x as usize;
+    t + usize::from((t as f64) < x)
 }
 
 /// Explicit integer bound tables for prefixes `1..=n`, as produced by
@@ -309,6 +327,20 @@ mod tests {
         assert_eq!(b.max_count(0, 3), 2); // ceil(1.5)
         assert_eq!(b.min_count(0, 4), 2);
         assert_eq!(b.max_count(0, 4), 2);
+    }
+
+    #[test]
+    fn integer_bounds_equal_the_float_floor_and_ceil() {
+        let proportions = [0.0, 0.1, 0.25, 1.0 / 3.0, 0.7, 1.0 - f64::EPSILON, 1.0];
+        for &lo in &proportions {
+            for &hi in proportions.iter().filter(|&&hi| hi >= lo) {
+                let b = FairnessBounds::new(vec![lo], vec![hi]).unwrap();
+                for k in (0..200).chain([1 << 40, (1 << 52) + 1, usize::MAX >> 12]) {
+                    assert_eq!(b.min_count(0, k), (lo * k as f64).floor() as usize);
+                    assert_eq!(b.max_count(0, k), (hi * k as f64).ceil() as usize);
+                }
+            }
+        }
     }
 
     #[test]

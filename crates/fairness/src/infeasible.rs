@@ -12,7 +12,10 @@
 //!   replays `O(n + steps)` integer increments while tracking the
 //!   violating-group *counters* incrementally instead of rescanning
 //!   all groups at every prefix. This is the hot path of the best-of-`m`
-//!   selection loop, where one compile is amortized over `m` samples.
+//!   selection loop, where one compile is amortized over `m` samples,
+//!   and the path every public entry point below runs. The serving
+//!   engine compiles one per request and shares it between the
+//!   weakly-fair centre, the kernel and the metrics report.
 
 use crate::bounds::BoundSteps;
 use crate::pfair::validate;
@@ -46,9 +49,8 @@ pub fn infeasible_breakdown(
     groups: &GroupAssignment,
     bounds: &FairnessBounds,
 ) -> Result<InfeasibleBreakdown> {
-    // one-shot callers skip the compile; repeated evaluation goes
-    // through `CompiledInfeasible`
-    infeasible_breakdown_naive(pi, groups, bounds)
+    validate(pi, groups, bounds)?;
+    Ok(CompiledInfeasible::compile(bounds, pi.len()).breakdown(pi, groups))
 }
 
 /// The direct Definition 3 scan: recompute every group's float bounds
@@ -140,6 +142,11 @@ impl CompiledInfeasible {
         }
     }
 
+    /// The bound steps the kernel replays.
+    pub fn steps(&self) -> &BoundSteps {
+        &self.steps
+    }
+
     /// Ranking length the kernel was compiled for.
     pub fn n(&self) -> usize {
         self.steps.n()
@@ -221,10 +228,17 @@ impl CompiledInfeasible {
     pub fn breakdown(&mut self, pi: &Permutation, groups: &GroupAssignment) -> InfeasibleBreakdown {
         debug_assert_eq!(pi.len(), self.n());
         debug_assert_eq!(groups.num_groups(), self.num_groups());
-        self.begin();
         let ids = groups.as_slice();
-        for &item in pi.as_order() {
-            self.place(ids[item]);
+        self.scan(pi.as_order().iter().map(|&item| ids[item]))
+    }
+
+    /// Breakdown of the ranking whose items' group ids, top first, are
+    /// `ranked_groups`: `begin` + `place` each. Caller guarantees
+    /// exactly `n()` ids, each below `num_groups()`.
+    pub fn scan(&mut self, ranked_groups: impl IntoIterator<Item = usize>) -> InfeasibleBreakdown {
+        self.begin();
+        for group in ranked_groups {
+            self.place(group);
         }
         InfeasibleBreakdown {
             lower_violations: self.lower,
@@ -253,12 +267,17 @@ pub fn pfair_percentage(
     groups: &GroupAssignment,
     bounds: &FairnessBounds,
 ) -> Result<f64> {
-    let n = pi.len();
-    if n == 0 {
-        return Ok(100.0);
-    }
     let ii = two_sided_infeasible_index(pi, groups, bounds)?;
-    Ok((100.0 * (1.0 - ii as f64 / n as f64)).max(0.0))
+    Ok(pfair_from_index(ii, pi.len()))
+}
+
+/// Definition 4 from an already computed `TwoSidedInfInd` `ii` of a
+/// ranking of `n` items (100 for the empty ranking, clamped at 0).
+pub fn pfair_from_index(ii: usize, n: usize) -> f64 {
+    if n == 0 {
+        return 100.0;
+    }
+    (100.0 * (1.0 - ii as f64 / n as f64)).max(0.0)
 }
 
 /// Convenience: infeasible index measured against bounds equal to the

@@ -131,14 +131,33 @@ impl Permutation {
     /// Ranking that sorts items by **descending** score, ties broken by
     /// ascending item index (deterministic). This is the paper's
     /// quality-optimal ranking `π*`.
+    ///
+    /// NaN-free scores sort as packed `(descending score, index)` keys
+    /// in one unstable sort over plain integers: `−0.0` folds into
+    /// `+0.0`, so the order equals the `partial_cmp` comparator's
+    /// exactly. Scores containing NaN (which that comparator does not
+    /// order totally) keep the comparator sort.
     pub fn sorted_by_scores_desc(scores: &[f64]) -> Self {
-        let mut order: Vec<usize> = (0..scores.len()).collect();
-        order.sort_by(|&a, &b| {
-            scores[b]
-                .partial_cmp(&scores[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
+        if scores.iter().any(|s| s.is_nan()) {
+            let mut order: Vec<usize> = (0..scores.len()).collect();
+            order.sort_by(|&a, &b| {
+                scores[b]
+                    .partial_cmp(&scores[a])
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.cmp(&b))
+            });
+            return Permutation { order };
+        }
+        // the result is allocated before the transient keys, so
+        // freeing the keys leaves no hole below it
+        let mut order = Vec::with_capacity(scores.len());
+        let mut keys: Vec<u128> = scores
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| (u128::from(descending_key(s)) << 64) | i as u128)
+            .collect();
+        keys.sort_unstable();
+        order.extend(keys.iter().map(|&key| key as u64 as usize));
         Permutation { order }
     }
 
@@ -298,6 +317,20 @@ impl std::fmt::Display for Permutation {
     }
 }
 
+/// A non-NaN score as a `u64` whose ascending order is the score's
+/// descending order, with `−0.0` and `+0.0` mapped to one key (they
+/// compare equal).
+fn descending_key(score: f64) -> u64 {
+    let bits = if score == 0.0 { 0 } else { score.to_bits() };
+    // negative floats order by inverted bits, positive ones above them
+    let ascending = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    !ascending
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,6 +390,26 @@ mod tests {
             p.compose(&q),
             Err(RankingError::LengthMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn packed_keys_order_signs_zeros_and_infinities() {
+        let scores = [
+            -0.0,
+            1.5,
+            f64::NEG_INFINITY,
+            0.0,
+            -2.0,
+            f64::INFINITY,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            1.5,
+        ];
+        let p = Permutation::sorted_by_scores_desc(&scores);
+        assert_eq!(p.as_order(), &[5, 1, 8, 6, 0, 3, 7, 4, 2]);
+        // NaN input keeps the comparator sort
+        let p = Permutation::sorted_by_scores_desc(&[0.5, f64::NAN, 0.9]);
+        assert_eq!(p.len(), 3);
     }
 
     #[test]

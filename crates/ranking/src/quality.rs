@@ -64,6 +64,56 @@ pub fn dcg(pi: &Permutation, scores: &[f64]) -> Result<f64> {
     dcg_at(pi, scores, pi.len(), Discount::Log2)
 }
 
+/// `Σ gains[i] · discounts[i]`: the DCG of gains listed in rank order
+/// against a materialized discount table, summed in rank order. With a
+/// [`Discount::table`] it is bit-identical to [`dcg_at`] over the same
+/// ranked gains.
+pub fn dcg_of(gains: impl IntoIterator<Item = f64>, discounts: &[f64]) -> f64 {
+    gains.into_iter().zip(discounts).map(|(s, d)| s * d).sum()
+}
+
+/// The ideal side of NDCG for one score vector, computed once: the
+/// score order `π*`, the log₂ discount table over every rank and the
+/// full-list IDCG. Callers that need all three for the same scores
+/// (the serving engine builds one per request) sort once instead of
+/// once per measure.
+#[derive(Debug, Clone)]
+pub struct IdealDcg {
+    order: Permutation,
+    discounts: Vec<f64>,
+    idcg: f64,
+}
+
+impl IdealDcg {
+    /// Sort `scores` ([`Permutation::sorted_by_scores_desc`]) and
+    /// derive the discount table and IDCG from that one order.
+    pub fn new(scores: &[f64]) -> Self {
+        let order = Permutation::sorted_by_scores_desc(scores);
+        let discounts = Discount::Log2.table(scores.len());
+        let idcg = dcg_of(order.as_order().iter().map(|&i| scores[i]), &discounts);
+        IdealDcg {
+            order,
+            discounts,
+            idcg,
+        }
+    }
+
+    /// The score-descending order `π*`.
+    pub fn order(&self) -> &Permutation {
+        &self.order
+    }
+
+    /// `Discount::Log2.table(n)`.
+    pub fn discounts(&self) -> &[f64] {
+        &self.discounts
+    }
+
+    /// `idcg(scores)`, bit for bit.
+    pub fn idcg(&self) -> f64 {
+        self.idcg
+    }
+}
+
 /// Ideal DCG: DCG of the score-descending ranking `π*` over the same
 /// items, truncated at `k`.
 pub fn idcg_at(scores: &[f64], k: usize, discount: Discount) -> f64 {
@@ -132,6 +182,26 @@ mod tests {
             }
         }
         assert!(Discount::Log2.table(0).is_empty());
+    }
+
+    #[test]
+    fn ideal_dcg_matches_the_pointwise_measures() {
+        for s in [
+            vec![0.3, -0.0, 0.8, 0.0, 0.8, -1.5],
+            vec![0.0, -0.0],
+            vec![2.5],
+            vec![],
+        ] {
+            let ideal = IdealDcg::new(&s);
+            assert_eq!(ideal.idcg().to_bits(), idcg(&s).to_bits());
+            assert_eq!(ideal.discounts(), Discount::Log2.table(s.len()));
+            let pi = Permutation::identity(s.len());
+            let ranked = s.iter().copied();
+            assert_eq!(
+                dcg_of(ranked, ideal.discounts()).to_bits(),
+                dcg(&pi, &s).unwrap().to_bits()
+            );
+        }
     }
 
     #[test]
