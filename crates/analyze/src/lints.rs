@@ -69,6 +69,7 @@ impl LintConfig {
                 "crates/engine/src/registry.rs",
                 "crates/engine/src/server.rs",
                 "crates/engine/src/http.rs",
+                "crates/engine/src/num.rs",
                 "crates/engine/src/batch.rs",
                 "crates/engine/src/pool.rs",
                 "crates/router/src/",

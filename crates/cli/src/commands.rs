@@ -6,6 +6,7 @@ use crate::csv::{CandidateTable, VoteProfile};
 use crate::{CliError, Result};
 use fairness_metrics::{divergence, exposure, infeasible, FairnessBounds};
 use fairrank_engine::job::{Criterion, JobInput, JobParams, RankJob, RankResult};
+use fairrank_engine::num;
 use fairrank_engine::registry::{self, AlgorithmKind, Registry};
 use fairrank_engine::tables::ExecContext;
 use mallows_model::MallowsModel;
@@ -318,12 +319,21 @@ fn run_job(job: &RankJob, kind: AlgorithmKind, flag: &str) -> Result<RankResult>
 /// NDCG values to 6 decimals, the P-fair percentage to 2, counts as
 /// plain integers.
 fn render_footer(metrics: &[(String, f64)], out: &mut String) {
+    use std::fmt::Write as _;
     for (name, value) in metrics {
-        out.push_str(&match name.as_str() {
-            n if n.starts_with("ndcg_") => format!("# {name},{value:.6}\n"),
-            "pfair_percentage" => format!("# {name},{value:.2}\n"),
-            _ => format!("# {name},{value}\n"),
-        });
+        out.push_str("# ");
+        out.push_str(name);
+        out.push(',');
+        match name.as_str() {
+            n if n.starts_with("ndcg_") => {
+                let _ = write!(out, "{value:.6}");
+            }
+            "pfair_percentage" => {
+                let _ = write!(out, "{value:.2}");
+            }
+            _ => num::write_f64(*value, out),
+        }
+        out.push('\n');
     }
 }
 
@@ -421,12 +431,12 @@ pub fn sample(args: &Args) -> Result<String> {
     let mut s = Permutation::identity(0);
     for _ in 0..count {
         sampler.sample_into(&mut s, &mut rng);
-        let line: Vec<String> = s
-            .as_order()
-            .iter()
-            .map(std::string::ToString::to_string)
-            .collect();
-        out.push_str(&line.join(","));
+        for (rank, &item) in s.as_order().iter().enumerate() {
+            if rank > 0 {
+                out.push(',');
+            }
+            num::write_usize(item, &mut out);
+        }
         out.push('\n');
     }
     Ok(out)
@@ -454,11 +464,11 @@ pub fn pipeline(args: &Args) -> Result<String> {
     };
     let result = run_job(&job, AlgorithmKind::Pipeline, "algorithm")?;
     let consensus = result.consensus.as_deref().unwrap_or_default();
-    let mut text = format!(
-        "consensus,{}\nfair,{}\n",
-        profile.render(consensus),
-        profile.render(&result.ranking)
-    );
+    let mut text = String::from("consensus,");
+    profile.render(consensus, &mut text);
+    text.push_str("\nfair,");
+    profile.render(&result.ranking, &mut text);
+    text.push('\n');
     render_footer(&result.metrics, &mut text);
     Ok(text)
 }
@@ -560,7 +570,8 @@ pub fn aggregate(args: &Args) -> Result<String> {
         params: job_params(args, 15)?,
     };
     let result = run_job(&job, AlgorithmKind::Aggregator, "method")?;
-    let mut out = profile.render(&result.ranking);
+    let mut out = String::new();
+    profile.render(&result.ranking, &mut out);
     out.push('\n');
     render_footer(&result.metrics, &mut out);
     Ok(out)

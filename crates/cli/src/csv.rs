@@ -13,10 +13,19 @@
 //! **Vote files** hold one complete ranking per line: comma-separated
 //! item labels, best first. Every line must rank exactly the same label
 //! set.
+//!
+//! **Output** (rankings rendered back to CSV) is written field by field
+//! into one buffer (`push_field`, [`fairrank_engine::num`]). A field
+//! is quoted, with `""` escapes (RFC 4180), when it holds a comma, a
+//! quote, CR or LF, or starts or ends with whitespace (which the reader
+//! trims), and a vote line's first label also when it starts with `#`
+//! (which would read as a comment); every other field is copied
+//! verbatim.
 
 use crate::{CliError, Result};
 use fairness_metrics::GroupAssignment;
 use fairrank_dataset::{BatchDecoder, Dialect, FieldType, IndexedCsv, RecordBatch};
+use fairrank_engine::num;
 use ranking_core::Permutation;
 use std::io::BufRead;
 
@@ -121,20 +130,98 @@ impl CandidateTable {
         self.ids.is_empty()
     }
 
-    /// Render a ranking (ranked order of item indices) back to CSV.
+    /// Render a ranking (ranked order of item indices) back to CSV:
+    /// a `rank,id,score,group` header, then one row per item, written
+    /// into one reserved buffer with no allocation per row. Scores
+    /// print as `{}` does.
     pub fn render_ranking(&self, order: &[usize]) -> String {
-        let mut out = String::from("rank,id,score,group\n");
-        for (rank, &item) in order.iter().enumerate() {
-            out.push_str(&format!(
-                "{},{},{},{}\n",
-                rank + 1,
-                self.ids[item],
-                self.scores[item],
-                self.group_labels[self.groups.group_of(item)]
-            ));
+        const HEADER: &str = "rank,id,score,group\n";
+        // rows are gathered a block at a time before they are written:
+        // a ranking visits the columns out of file order, and a tight
+        // gather loop overlaps those cache misses
+        const BLOCK: usize = 256;
+        // group labels are few: each is quoted (if need be) once
+        let labels: Vec<String> = self
+            .group_labels
+            .iter()
+            .map(|label| {
+                let mut field = String::new();
+                push_field(label, &mut field);
+                field
+            })
+            .collect();
+        // summed in file order (a ranked pass would miss the cache);
+        // for a shortlist it over-reserves, and untouched pages cost
+        // no memory
+        let id_bytes: usize = self.ids.iter().map(String::len).sum();
+        let label_bytes = labels.iter().map(String::len).max().unwrap_or(0);
+        // per row: the rank, about 24 bytes for a score, three commas
+        // and the newline; then room for the footer
+        let row_bytes = order.len().to_string().len() + 24 + 4 + label_bytes;
+        let mut out =
+            String::with_capacity(HEADER.len() + id_bytes + order.len() * row_bytes + 512);
+        out.push_str(HEADER);
+        let mut rows: Vec<(&str, f64, &str)> = Vec::with_capacity(BLOCK.min(order.len()));
+        let mut rank = 0;
+        for block in order.chunks(BLOCK) {
+            rows.clear();
+            rows.extend(block.iter().map(|&item| {
+                let label = &labels[self.groups.group_of(item)];
+                (self.ids[item].as_str(), self.scores[item], label.as_str())
+            }));
+            for &(id, score, label) in &rows {
+                rank += 1;
+                num::write_usize(rank, &mut out);
+                out.push(',');
+                push_field(id, &mut out);
+                out.push(',');
+                num::write_f64(score, &mut out);
+                out.push(',');
+                out.push_str(label);
+                out.push('\n');
+            }
         }
         out
     }
+}
+
+/// Append `field` as one CSV field: verbatim, or quoted with `""`
+/// escapes when it holds a comma, a quote, CR or LF, or starts or ends
+/// with whitespace (which the reader would trim).
+fn push_field(field: &str, out: &mut String) {
+    if needs_quotes(field) {
+        push_quoted(field, out);
+    } else {
+        out.push_str(field);
+    }
+}
+
+/// Whether `field` must be quoted to read back as itself (see
+/// [`push_field`]). Whitespace is ASCII up to the space or a
+/// multi-byte character, so the edge bytes rule most fields out
+/// without decoding a `char`.
+fn needs_quotes(field: &str) -> bool {
+    let bytes = field.as_bytes();
+    let (Some(&first), Some(&last)) = (bytes.first(), bytes.last()) else {
+        return false;
+    };
+    bytes
+        .iter()
+        .any(|&b| matches!(b, b',' | b'"' | b'\r' | b'\n'))
+        || ((first <= b' ' || first >= 0x80) && field.starts_with(char::is_whitespace))
+        || ((last <= b' ' || last >= 0x80) && field.ends_with(char::is_whitespace))
+}
+
+/// Append `field` quoted, with `""` escapes.
+fn push_quoted(field: &str, out: &mut String) {
+    out.push('"');
+    for (i, part) in field.split('"').enumerate() {
+        if i > 0 {
+            out.push_str("\"\"");
+        }
+        out.push_str(part);
+    }
+    out.push('"');
 }
 
 /// Incremental [`CandidateTable`] assembly shared by the sequential
@@ -376,13 +463,20 @@ impl VoteProfile {
         self.votes.iter().map(|v| v.as_order().to_vec()).collect()
     }
 
-    /// Render a ranking (item indices in rank order) as a label line.
-    pub fn render(&self, order: &[usize]) -> String {
-        order
-            .iter()
-            .map(|&i| self.labels[i].as_str())
-            .collect::<Vec<_>>()
-            .join(",")
+    /// Append a ranking (item indices in rank order) to `out` as
+    /// comma-separated labels, each a CSV field (see the module docs).
+    pub fn render(&self, order: &[usize], out: &mut String) {
+        for (rank, &i) in order.iter().enumerate() {
+            let label = &self.labels[i];
+            if rank > 0 {
+                out.push(',');
+            } else if label.starts_with('#') && (out.is_empty() || out.ends_with('\n')) {
+                // at the start of a line it would read as a comment
+                push_quoted(label, out);
+                continue;
+            }
+            push_field(label, out);
+        }
     }
 }
 
@@ -475,7 +569,9 @@ mod tests {
     #[test]
     fn vote_render_round_trips() {
         let v = VoteProfile::parse("a,b,c\nc,b,a\n").unwrap();
-        assert_eq!(v.render(v.votes[1].as_order()), "c,b,a");
+        let mut line = String::new();
+        v.render(v.votes[1].as_order(), &mut line);
+        assert_eq!(line, "c,b,a");
     }
 
     #[test]

@@ -4,6 +4,7 @@
 
 use fairrank_cli::args::Args;
 use fairrank_cli::{commands, CliError};
+use std::io::{ErrorKind, Write as _};
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -13,7 +14,7 @@ fn main() {
             Some(path) => std::fs::write(path, &output)
                 .map_err(|e| CliError::Input(format!("cannot write {path}: {e}"))),
             None => {
-                print!("{output}");
+                write_stdout(output.as_bytes());
                 Ok(())
             }
         }
@@ -25,5 +26,22 @@ fn main() {
             CliError::Usage(_) => 2,
             _ => 1,
         });
+    }
+}
+
+/// Write the whole output to stdout in one call. A reader that closed
+/// the pipe early (`fairrank rank … | head -2`) has all it wanted, so
+/// that ends quietly with status 0; any other write error exits 1.
+fn write_stdout(bytes: &[u8]) {
+    let mut stdout = std::io::stdout().lock();
+    let written = stdout.write_all(bytes).and_then(|()| stdout.flush());
+    drop(stdout);
+    match written {
+        Ok(()) => {}
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("fairrank: cannot write output: {e}");
+            std::process::exit(1);
+        }
     }
 }

@@ -1,8 +1,13 @@
 //! End-to-end CLI round trips: rank a candidate file, feed the output
-//! back into `metrics`, and aggregate votes produced by `sample`.
+//! back into `metrics`, aggregate votes produced by `sample`, and read
+//! rendered rankings back field for field, whatever bytes their ids and
+//! labels hold.
 
+use fairness_metrics::GroupAssignment;
 use fairrank_cli::args::Args;
 use fairrank_cli::commands;
+use fairrank_cli::csv::{cli_dialect, CandidateTable, VoteProfile};
+use proptest::prelude::*;
 
 fn args(tokens: &[&str]) -> Args {
     Args::parse(tokens.iter().map(std::string::ToString::to_string)).unwrap()
@@ -117,4 +122,87 @@ fn fair_top_k_via_cli_truncates_and_reports() {
     // the shortlist must include at least one 'b'-group candidate
     // (pool share 1/3, tolerance ±5 % → floor(0.28·6) = 1 required)
     assert!(rows.iter().any(|l| l.ends_with(",b")), "{rows:?}");
+}
+
+/// Pieces of generated ids and labels, heavy in what CSV output must
+/// quote: delimiters, quotes, line breaks, edge whitespace (ASCII and
+/// not) and comment markers.
+const PIECES: [&str; 14] = [
+    "a", "b", "z9", "ü", ",", "\"", "\r", "\n", "\r\n", " ", "\t", "\u{a0}", "#", "x,y",
+];
+
+fn field(picks: &[usize]) -> String {
+    picks.iter().map(|&p| PIECES[p % PIECES.len()]).collect()
+}
+
+fn fields() -> impl Strategy<Value = Vec<usize>> {
+    prop::collection::vec(0usize..64, 0..6)
+}
+
+/// Every record of `text` under the CLI's input dialect.
+fn records(text: &str) -> Vec<Vec<String>> {
+    let mut reader = cli_dialect().reader(text.as_bytes());
+    let mut rows = Vec::new();
+    while let Some(record) = reader.read_record().expect("rendered CSV reads back") {
+        rows.push(record.iter().map(str::to_string).collect());
+    }
+    rows
+}
+
+proptest! {
+    #[test]
+    fn rendered_rankings_read_back_field_for_field(
+        rows in prop::collection::vec((fields(), any::<u64>(), 0usize..3), 1..24),
+        labels in prop::collection::vec(fields(), 3),
+    ) {
+        let n = rows.len();
+        let table = CandidateTable {
+            ids: rows.iter().map(|(picks, _, _)| field(picks)).collect(),
+            // finite scores from raw bits: subnormals, -0 and huge ones
+            scores: rows
+                .iter()
+                .map(|&(_, bits, _)| f64::from_bits(bits & !(1 << 62)))
+                .collect(),
+            groups: GroupAssignment::new(rows.iter().map(|r| r.2).collect(), 3).unwrap(),
+            group_labels: labels.iter().map(|picks| field(picks)).collect(),
+        };
+        let order: Vec<usize> = (0..n).rev().collect();
+        let read = records(&table.render_ranking(&order));
+        prop_assert_eq!(read.len(), n + 1);
+        prop_assert_eq!(&read[0], &["rank", "id", "score", "group"]);
+        for (rank, (row, &item)) in read[1..].iter().zip(&order).enumerate() {
+            prop_assert_eq!(row.len(), 4, "{:?}", row);
+            prop_assert_eq!(&row[0], &(rank + 1).to_string());
+            prop_assert_eq!(&row[1], &table.ids[item]);
+            let score: f64 = row[2].parse().unwrap();
+            prop_assert_eq!(score.to_bits(), table.scores[item].to_bits());
+            prop_assert_eq!(&row[3], &table.group_labels[table.groups.group_of(item)]);
+        }
+    }
+
+    #[test]
+    fn rendered_votes_read_back_label_for_label(
+        labels in prop::collection::vec(fields(), 2..8),
+        shift in 0usize..8,
+    ) {
+        let profile = VoteProfile {
+            labels: labels.iter().map(|picks| field(picks)).collect(),
+            votes: Vec::new(),
+        };
+        let n = profile.labels.len();
+        let order: Vec<usize> = (0..n).map(|i| (i + shift) % n).collect();
+        // as `aggregate` prints it (at the start of a line) and as
+        // `pipeline` does (after a row name)
+        let mut text = String::new();
+        profile.render(&order, &mut text);
+        text.push_str("\nfair,");
+        profile.render(&order, &mut text);
+        text.push('\n');
+        let expected: Vec<&String> = order.iter().map(|&i| &profile.labels[i]).collect();
+        let read = records(&text);
+        prop_assert_eq!(read.len(), 2);
+        prop_assert_eq!(read[0].iter().collect::<Vec<_>>(), expected.clone());
+        prop_assert_eq!(&read[1][0], "fair");
+        prop_assert_eq!(read[1][1..].iter().collect::<Vec<_>>(), expected);
+    }
 }

@@ -259,6 +259,45 @@ fn output_flag_writes_file_instead_of_stdout() {
 }
 
 #[test]
+fn closed_stdout_ends_quietly() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::Stdio;
+    // far more output than a pipe buffers, so the writer is still
+    // writing when the reader goes away
+    let wrk = Workdir::new("closed_stdout");
+    let mut rows = vec![vec!["id", "score", "group"]];
+    let ids: Vec<String> = (0..20_000).map(|i| format!("candidate-{i}")).collect();
+    for (i, id) in ids.iter().enumerate() {
+        rows.push(vec![id, ["0.9", "0.5", "0.1"][i % 3], ["g1", "g2"][i % 2]]);
+    }
+    wrk.create("pool.csv", &rows);
+    let mut child = wrk
+        .command("rank")
+        .args(["--input", "pool.csv", "--algorithm", "weakly-fair"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawning fairrank");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("reading the first line");
+    // the reader (and with it the pipe's read end) is dropped here
+    assert_eq!(first, "rank,id,score,group\n");
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut stderr)
+        .expect("reading stderr");
+    let status = child.wait().expect("waiting for fairrank");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(status.code(), Some(101), "{stderr}");
+    assert!(status.success(), "{status}: {stderr}");
+}
+
+#[test]
 fn usage_errors_exit_2_and_algorithm_errors_exit_1() {
     let wrk = Workdir::new("exit_codes");
     wrk.create("pool.csv", &candidate_rows());

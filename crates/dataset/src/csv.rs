@@ -68,7 +68,8 @@ impl Dialect {
 /// size. The dialect covers what the workspace's inputs need:
 ///
 /// * quoted fields (`"smith, carol"`) with `""` escapes and embedded
-///   newlines (multi-line fields);
+///   newlines (multi-line fields, whose line breaks are kept as
+///   written, `\r\n` or `\n`);
 /// * CRLF and bare-LF line endings;
 /// * blank lines and (optionally) comment lines, skipped;
 /// * a whitespace-merging mode for space-aligned files such as UCI
@@ -104,6 +105,8 @@ pub struct CsvReader<R> {
     record_pos: u64,
     /// Reusable physical-line buffer.
     raw: String,
+    /// The line ending stripped from `raw` (`"\r\n"`, `"\n"` or none).
+    ending: &'static str,
     /// Current field under construction (unescaped; quoted path only).
     field: String,
     /// Unescaped text of every field of the current record (quoted
@@ -131,6 +134,7 @@ impl<R: BufRead> CsvReader<R> {
             pos: 0,
             record_pos: 0,
             raw: String::new(),
+            ending: "",
             field: String::new(),
             buf: String::new(),
             bounds: Vec::new(),
@@ -261,10 +265,13 @@ impl<R: BufRead> CsvReader<R> {
         }
         self.pos += n as u64;
         self.next_line += 1;
+        self.ending = "";
         if self.raw.ends_with('\n') {
             self.raw.pop();
+            self.ending = "\n";
             if self.raw.ends_with('\r') {
                 self.raw.pop();
+                self.ending = "\r\n";
             }
         }
         Ok(true)
@@ -380,7 +387,7 @@ impl<R: BufRead> CsvReader<R> {
                 break;
             }
             // the quoted field continues on the next physical line
-            self.field.push('\n');
+            self.field.push_str(self.ending);
             if !self.fill_raw_line()? {
                 return Err(CsvError {
                     line: self.record_line,
@@ -593,6 +600,13 @@ mod tests {
         let rows = read_all(&mut r);
         assert_eq!(rows[0], (1, vec!["two\nlines".into(), "1".into()]));
         assert_eq!(rows[1], (3, vec!["next".into(), "2".into()]));
+    }
+
+    #[test]
+    fn quoted_line_breaks_keep_their_bytes() {
+        let mut r = CsvReader::new("\"crlf\r\nbreak\",\"lf\nbreak\"\r\n".as_bytes());
+        let rows = read_all(&mut r);
+        assert_eq!(rows[0].1, vec!["crlf\r\nbreak", "lf\nbreak"]);
     }
 
     #[test]

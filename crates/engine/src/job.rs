@@ -6,6 +6,7 @@
 //! FNV-1a hash keys the result cache.
 
 use crate::json::Json;
+use crate::num;
 use std::fmt::Write as _;
 
 /// Input payload of a job.
@@ -162,26 +163,21 @@ impl RankJob {
         match &self.input {
             JobInput::Scores { scores, groups } => {
                 s.push_str("scores=");
-                for x in scores {
-                    let _ = write!(s, "{x},");
+                for &x in scores {
+                    num::write_f64(x, &mut s);
+                    s.push(',');
                 }
                 s.push_str(";groups=");
-                for g in groups {
-                    let _ = write!(s, "{g},");
-                }
+                write_index_list(groups, &mut s);
             }
             JobInput::Votes { votes, groups } => {
                 s.push_str("votes=");
                 for vote in votes {
-                    for i in vote {
-                        let _ = write!(s, "{i},");
-                    }
+                    write_index_list(vote, &mut s);
                     s.push('|');
                 }
                 s.push_str(";groups=");
-                for g in groups {
-                    let _ = write!(s, "{g},");
-                }
+                write_index_list(groups, &mut s);
             }
         }
         s
@@ -195,6 +191,14 @@ impl RankJob {
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
         h
+    }
+}
+
+/// Append each index followed by a comma (the canonical form's lists).
+fn write_index_list(indices: &[usize], out: &mut String) {
+    for &i in indices {
+        num::write_usize(i, out);
+        out.push(',');
     }
 }
 
@@ -227,11 +231,11 @@ impl RankResult {
     pub fn write_json(&self, out: &mut String) {
         fn write_index_array(indices: &[usize], out: &mut String) {
             out.push('[');
-            for (i, idx) in indices.iter().enumerate() {
+            for (i, &idx) in indices.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "{idx}");
+                num::write_usize(idx, out);
             }
             out.push(']');
         }

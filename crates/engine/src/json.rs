@@ -97,9 +97,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Number(x) => write_number(*x, out),
-            Json::Integer(v) => {
-                let _ = write!(out, "{v}");
-            }
+            Json::Integer(v) => crate::num::write_u64(*v, out),
             Json::String(s) => write_string(s, out),
             Json::Array(items) => {
                 out.push('[');
@@ -193,18 +191,13 @@ impl Json {
     }
 }
 
-/// Serialize an `f64` with the engine's canonical number format
-/// (integers without a fraction, non-finite values as `null`). Every
-/// finite value parses back bit for bit, `-0.0` included.
+/// Serialize an `f64` with the engine's canonical number format: the
+/// shortest round-trip decimal of [`crate::num::write_f64`] (integers
+/// without a fraction, `-0.0` as `-0`), non-finite values as `null`.
+/// Every finite value parses back bit for bit.
 pub(crate) fn write_number(x: f64, out: &mut String) {
     if x.is_finite() {
-        if x == 0.0 && x.is_sign_negative() {
-            out.push_str("-0");
-        } else if x == x.trunc() && x.abs() < 9.0e15 {
-            let _ = write!(out, "{}", x as i64);
-        } else {
-            let _ = write!(out, "{x}");
-        }
+        crate::num::write_f64(x, out);
     } else {
         out.push_str("null"); // JSON has no NaN/inf
     }

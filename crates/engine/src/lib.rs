@@ -51,6 +51,7 @@ pub mod cache;
 pub mod http;
 pub mod job;
 pub mod json;
+pub mod num;
 mod plan;
 pub mod pool;
 pub mod registry;

@@ -132,22 +132,12 @@ impl Permutation {
     /// ascending item index (deterministic). This is the paper's
     /// quality-optimal ranking `π*`.
     ///
-    /// NaN-free scores sort as packed `(descending score, index)` keys
-    /// in one unstable sort over plain integers: `−0.0` folds into
-    /// `+0.0`, so the order equals the `partial_cmp` comparator's
-    /// exactly. Scores containing NaN (which that comparator does not
-    /// order totally) keep the comparator sort.
+    /// Scores sort as packed `(descending score, index)` keys in one
+    /// unstable sort over plain integers: `−0.0` folds into `+0.0`, so
+    /// on NaN-free scores the order equals the `partial_cmp`
+    /// comparator's exactly. NaN ranks after every number, NaNs by
+    /// index; the sort never panics.
     pub fn sorted_by_scores_desc(scores: &[f64]) -> Self {
-        if scores.iter().any(|s| s.is_nan()) {
-            let mut order: Vec<usize> = (0..scores.len()).collect();
-            order.sort_by(|&a, &b| {
-                scores[b]
-                    .partial_cmp(&scores[a])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            });
-            return Permutation { order };
-        }
         // the result is allocated before the transient keys, so
         // freeing the keys leaves no hole below it
         let mut order = Vec::with_capacity(scores.len());
@@ -317,10 +307,13 @@ impl std::fmt::Display for Permutation {
     }
 }
 
-/// A non-NaN score as a `u64` whose ascending order is the score's
-/// descending order, with `−0.0` and `+0.0` mapped to one key (they
-/// compare equal).
+/// A score as a `u64` whose ascending order is the score's descending
+/// order, with `−0.0` and `+0.0` mapped to one key (they compare equal)
+/// and every NaN to the last key, after `−∞`.
 fn descending_key(score: f64) -> u64 {
+    if score.is_nan() {
+        return u64::MAX;
+    }
     let bits = if score == 0.0 { 0 } else { score.to_bits() };
     // negative floats order by inverted bits, positive ones above them
     let ascending = if bits >> 63 == 1 {
@@ -407,9 +400,10 @@ mod tests {
         ];
         let p = Permutation::sorted_by_scores_desc(&scores);
         assert_eq!(p.as_order(), &[5, 1, 8, 6, 0, 3, 7, 4, 2]);
-        // NaN input keeps the comparator sort
-        let p = Permutation::sorted_by_scores_desc(&[0.5, f64::NAN, 0.9]);
-        assert_eq!(p.len(), 3);
+        // NaN ranks after every number, NaNs by index
+        let p =
+            Permutation::sorted_by_scores_desc(&[0.5, f64::NAN, f64::NEG_INFINITY, -f64::NAN, 0.9]);
+        assert_eq!(p.as_order(), &[4, 0, 2, 1, 3]);
     }
 
     #[test]
