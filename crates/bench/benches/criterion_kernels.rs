@@ -5,8 +5,11 @@
 //! Three legs per size — `ndcg`, `infeasible`, `weighted` — each
 //! first **asserting byte-identity** against the unabridged scalar
 //! reference path (`rank_with_tables_reference`: same RNG stream,
-//! full decode + full objective per sample, no abandon) and then
-//! timing the kernel path. Two micro legs follow:
+//! full decode + full objective per sample, no abandon), for the
+//! inline kernel and for the pipelined one (a thread budget of 2:
+//! the draw on the calling thread, decode and scoring on a helper from
+//! `PIPELINE_MIN_N` items up), and then timing both. Two micro legs
+//! follow:
 //!
 //! * `infeasible_kernel` — [`CompiledInfeasible`] versus the naive
 //!   `O(n·g)` per-prefix breakdown on random permutations at
@@ -25,7 +28,7 @@
 //! for a reduced-size run that only checks the harness and the
 //! byte-identity assertions.
 
-use fair_mallows::{Criterion, MallowsFairRanker};
+use fair_mallows::{Criterion, MallowsFairRanker, Precomputed, PIPELINE_MIN_N};
 use fairness_metrics::{infeasible, FairnessBounds, GroupAssignment};
 use mallows_model::SamplerTables;
 use rand::rngs::StdRng;
@@ -98,9 +101,9 @@ fn random_permutation(n: usize, rng: &mut StdRng) -> Permutation {
     Permutation::from_order(order).expect("valid permutation")
 }
 
-fn report(mode: &str, n: usize, m: usize, elapsed_ms: f64, abandon_rate: f64) {
+fn report(mode: &str, n: usize, m: usize, elapsed_ms: f64, pipelined_ms: f64, abandon_rate: f64) {
     println!(
-        "{{\"bench\":\"criterion_kernels\",\"mode\":\"{mode}\",\"n\":{n},\"m\":{m},\"elapsed_ms\":{elapsed_ms:.2},\"abandon_rate\":{abandon_rate:.3}}}"
+        "{{\"bench\":\"criterion_kernels\",\"mode\":\"{mode}\",\"n\":{n},\"m\":{m},\"elapsed_ms\":{elapsed_ms:.2},\"pipelined_ms\":{pipelined_ms:.2},\"abandon_rate\":{abandon_rate:.3}}}"
     );
 }
 
@@ -110,7 +113,7 @@ fn main() {
     // stays minutes-free while every size still exercises the abandon
     // machinery against a settled incumbent
     let sizes: &[(usize, usize)] = if smoke {
-        &[(200, 12), (1_000, 8)]
+        &[(200, 12), (1_000, 8), (PIPELINE_MIN_N, 4)]
     } else {
         &[(1_000, 64), (10_000, 32), (100_000, 8)]
     };
@@ -119,6 +122,8 @@ fn main() {
     let mut rank_n1e3_ms = f64::NAN;
     let mut rank_n1e4_ms = f64::NAN;
     let mut rank_n1e5_ms = f64::NAN;
+    let mut pipelined_n1e4_ms = f64::NAN;
+    let mut pipelined_n1e5_ms = f64::NAN;
     let mut infeasible_n1e4_ms = f64::NAN;
     let mut weighted_n1e4_ms = f64::NAN;
     let mut abandon_rate_n1e4 = f64::NAN;
@@ -148,6 +153,25 @@ fn main() {
                 "kernel objective must match the scalar path bit-for-bit (n={n}, {name})"
             );
             assert_eq!(fast.samples_drawn, reference.samples_drawn);
+            let pipelined_rank = |rng: &mut StdRng| {
+                ranker
+                    .rank_precomputed(&center, &tables, Precomputed::default(), 2, rng)
+                    .expect("pipelined rank")
+            };
+            let pipelined = pipelined_rank(&mut StdRng::seed_from_u64(SEED));
+            assert_eq!(
+                pipelined.ranking, reference.ranking,
+                "pipelined winner must match the scalar path (n={n}, {name})"
+            );
+            assert_eq!(
+                pipelined.criterion_value.to_bits(),
+                reference.criterion_value.to_bits(),
+                "pipelined objective must match the scalar path bit-for-bit (n={n}, {name})"
+            );
+            assert_eq!(
+                pipelined.samples_abandoned, fast.samples_abandoned,
+                "the thread budget must not change the abandon count (n={n}, {name})"
+            );
 
             let ms = best_of_ms(iters, || {
                 let mut rng = StdRng::seed_from_u64(SEED);
@@ -157,16 +181,23 @@ fn main() {
                         .expect("kernel rank"),
                 );
             });
+            let pipelined_ms = best_of_ms(iters, || {
+                black_box(pipelined_rank(&mut StdRng::seed_from_u64(SEED)));
+            });
             let rate = fast.samples_abandoned as f64 / fast.samples_drawn.max(1) as f64;
-            report(name, n, m, ms, rate);
+            report(name, n, m, ms, pipelined_ms, rate);
 
             match (n, name) {
                 (1_000, "ndcg") => rank_n1e3_ms = ms,
                 (10_000, "ndcg") => {
                     rank_n1e4_ms = ms;
+                    pipelined_n1e4_ms = pipelined_ms;
                     abandon_rate_n1e4 = rate;
                 }
-                (100_000, "ndcg") => rank_n1e5_ms = ms,
+                (100_000, "ndcg") => {
+                    rank_n1e5_ms = ms;
+                    pipelined_n1e5_ms = pipelined_ms;
+                }
                 (10_000, "infeasible") => infeasible_n1e4_ms = ms,
                 (10_000, "weighted") => weighted_n1e4_ms = ms,
                 _ => {}
@@ -282,6 +313,8 @@ fn main() {
                 ("rank_n1e3_ms", rank_n1e3_ms),
                 ("rank_n1e4_ms", rank_n1e4_ms),
                 ("rank_n1e5_ms", rank_n1e5_ms),
+                ("pipelined_n1e4_ms", pipelined_n1e4_ms),
+                ("pipelined_n1e5_ms", pipelined_n1e5_ms),
                 ("infeasible_n1e4_ms", infeasible_n1e4_ms),
                 ("weighted_n1e4_ms", weighted_n1e4_ms),
                 ("abandon_rate", abandon_rate_n1e4),

@@ -32,9 +32,9 @@ const STAGE_N: usize = 10_000;
 const STAGE_THETAS: [f64; 3] = [0.05, 0.6, 2.0];
 
 /// One code drawn stage by stage through the galloping oracle.
-fn oracle_code_into(tables: &SamplerTables, code: &mut Vec<usize>, rng: &mut StdRng) {
+fn oracle_code_into(tables: &SamplerTables, code: &mut Vec<u32>, rng: &mut StdRng) {
     code.clear();
-    code.extend((1..=tables.n()).map(|j| tables.sample_stage_reference(j, rng)));
+    code.extend((1..=tables.n()).map(|j| tables.sample_stage_reference(j, rng) as u32));
 }
 
 /// The guide-table path must draw the oracle's codes byte for byte and

@@ -18,6 +18,11 @@
 //! ]
 //! ```
 //!
+//! Records written by [`record`] also name their host, so numbers
+//! from different machines and commits are not compared blindly:
+//! `"host":{"cpus":2,"commit":"0fb3846-dirty"}` (the CPU count the
+//! process sees and `git describe --always --dirty` of the checkout).
+//!
 //! [`validate_trajectory`] checks that shape strictly (it parses with
 //! the engine's own zero-dependency JSON parser) and runs over every
 //! committed file in `crates/bench/tests/bench_schema.rs`, which CI
@@ -89,20 +94,56 @@ pub fn record(bench: &str, metrics: &[(&str, f64)]) {
         return;
     }
     let path = trajectory_path(bench);
-    match append_to_file(&path, bench, &today_utc(), metrics) {
+    match append_to_file(&path, bench, &today_utc(), Some(&Host::detect()), metrics) {
         Ok(()) => eprintln!("bench: recorded {bench} trajectory in {}", path.display()),
         Err(e) => eprintln!("bench: cannot record {bench} trajectory: {e}"),
     }
 }
 
-/// Append a `{date, bench, metrics}` record to the JSON array in
-/// `path`, creating the file when missing. The append is textual (the
-/// trailing `]` is replaced) so existing records are preserved
-/// byte-for-byte and diffs stay one-record-sized.
+/// The machine and checkout a record was measured on.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Host {
+    /// CPUs available to the process.
+    pub cpus: usize,
+    /// `git describe --always --dirty` of the workspace (letters,
+    /// digits and `-` only), or `unknown` without git.
+    pub commit: String,
+}
+
+impl Host {
+    /// This process's CPU count and the workspace's commit.
+    pub fn detect() -> Host {
+        let commit = std::process::Command::new("git")
+            .args(["describe", "--always", "--dirty"])
+            .current_dir(workspace_root())
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .map(|out| {
+                String::from_utf8_lossy(&out.stdout)
+                    .chars()
+                    .filter(|c| c.is_ascii_alphanumeric() || *c == '-')
+                    .collect::<String>()
+            })
+            .filter(|commit| !commit.is_empty())
+            .unwrap_or_else(|| "unknown".to_string());
+        Host {
+            cpus: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
+            commit,
+        }
+    }
+}
+
+/// Append a `{date, bench, host, metrics}` record (`host` omitted when
+/// `None`) to the JSON array in `path`, creating the file when
+/// missing. The append is textual (the trailing `]` is replaced) so
+/// existing records are preserved byte-for-byte and diffs stay
+/// one-record-sized.
 pub fn append_to_file(
     path: &Path,
     bench: &str,
     date: &str,
+    host: Option<&Host>,
     metrics: &[(&str, f64)],
 ) -> Result<(), String> {
     for required in required_metrics(bench) {
@@ -113,7 +154,7 @@ pub fn append_to_file(
         }
     }
     let mut record = String::new();
-    write_record(&mut record, bench, date, metrics);
+    write_record(&mut record, bench, date, host, metrics);
     let existing = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
@@ -138,11 +179,18 @@ pub fn append_to_file(
     std::fs::write(path, content).map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
-fn write_record(out: &mut String, bench: &str, date: &str, metrics: &[(&str, f64)]) {
-    let _ = write!(
-        out,
-        "{{\"date\":\"{date}\",\"bench\":\"{bench}\",\"metrics\":{{"
-    );
+fn write_record(
+    out: &mut String,
+    bench: &str,
+    date: &str,
+    host: Option<&Host>,
+    metrics: &[(&str, f64)],
+) {
+    let _ = write!(out, "{{\"date\":\"{date}\",\"bench\":\"{bench}\",");
+    if let Some(Host { cpus, commit }) = host {
+        let _ = write!(out, "\"host\":{{\"cpus\":{cpus},\"commit\":\"{commit}\"}},");
+    }
+    out.push_str("\"metrics\":{");
     for (i, (key, value)) in metrics.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -159,7 +207,8 @@ fn write_record(out: &mut String, bench: &str, date: &str, metrics: &[(&str, f64
 
 /// Strictly validate a trajectory document for `bench`: a JSON array
 /// of records, each `{date: "YYYY-MM-DD", bench: <name>, metrics:
-/// {non-empty, all finite numbers}}`. Returns the record count.
+/// {non-empty, all finite numbers}}` with an optional `host: {cpus:
+/// number, commit: string}`. Returns the record count.
 pub fn validate_trajectory(bench: &str, text: &str) -> Result<usize, String> {
     let doc = Json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
     let records = doc.as_array().ok_or("trajectory must be a JSON array")?;
@@ -178,6 +227,15 @@ pub fn validate_trajectory(bench: &str, text: &str) -> Result<usize, String> {
             .ok_or_else(|| context("`bench` (string) is required".to_string()))?;
         if name != bench {
             return Err(context(format!("`bench` is `{name}`, expected `{bench}`")));
+        }
+        if let Some(host) = record.get("host") {
+            let cpus = host.get("cpus").and_then(Json::as_f64);
+            let commit = host.get("commit").and_then(Json::as_str);
+            if cpus.is_none() || commit.is_none() {
+                return Err(context(
+                    "`host` needs `cpus` (number) and `commit` (string)".to_string(),
+                ));
+            }
         }
         let Some(Json::Object(metrics)) = record.get("metrics") else {
             return Err(context("`metrics` (object) is required".to_string()));
@@ -262,13 +320,19 @@ mod tests {
             &path,
             "metrics_render",
             "2026-08-08",
+            None,
             &[("renders_per_s", 100.0)],
         )
         .unwrap();
+        let host = Host {
+            cpus: 2,
+            commit: "0fb3846-dirty".to_string(),
+        };
         append_to_file(
             &path,
             "metrics_render",
             "2026-08-09",
+            Some(&host),
             &[("renders_per_s", 125.5), ("bytes", 4096.0)],
         )
         .unwrap();
@@ -279,6 +343,10 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("\"renders_per_s\":125.5"), "{text}");
+        assert!(
+            text.contains("\"host\":{\"cpus\":2,\"commit\":\"0fb3846-dirty\"}"),
+            "{text}"
+        );
         let _ = std::fs::remove_file(&path);
     }
 
@@ -294,6 +362,9 @@ mod tests {
         assert!(validate_trajectory("x", empty_metrics).is_err());
         let good = "[{\"date\":\"2026-08-08\",\"bench\":\"x\",\"metrics\":{\"a\":1}}]";
         assert_eq!(validate_trajectory("x", good), Ok(1));
+        let bad_host =
+            "[{\"date\":\"2026-08-08\",\"bench\":\"x\",\"host\":{\"cpus\":2},\"metrics\":{\"a\":1}}]";
+        assert!(validate_trajectory("x", bad_host).is_err());
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! serve`, scrape `GET /metrics`, validate the Prometheus text format
 //! with the engine's strict checker, then send SIGTERM and watch the
 //! process drain and exit cleanly. This is the test the CI scrape step
-//! runs.
+//! runs. A second test checks that the live server refuses jobs whose
+//! cost or metrics the registry's input checks rule out.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -59,6 +60,52 @@ fn http(port: u16, method: &str, path: &str, body: &str) -> (u16, String, String
         .expect("status line");
     let (head, body) = response.split_once("\r\n\r\n").expect("head/body split");
     (status, head.to_string(), body.to_string())
+}
+
+#[test]
+fn serve_rejects_sparse_group_ids_and_overflowing_scores() {
+    let (mut child, port, _stdout) = spawn_serve(&[]);
+    let algorithms = [
+        "weakly-fair",
+        "mallows",
+        "detconstsort",
+        "ipf",
+        "exact-kt",
+        "gr-binary",
+        "ilp",
+        "fair-top-k",
+        "fa-ir",
+    ];
+    for algorithm in algorithms {
+        // a group id far past the pool size once cost seconds and
+        // hundreds of MB (`exact-kt` aborted the process)
+        let sparse = format!(
+            r#"{{"algorithm":"{algorithm}","scores":[0.9,0.8,0.4,0.3],"groups":[0,1,2,10000000],"seed":1}}"#
+        );
+        let started = std::time::Instant::now();
+        let (status, _, body) = http(port, "POST", "/rank", &sparse);
+        assert_eq!(status, 400, "{algorithm}: {body}");
+        assert!(body.contains("group id 10000000"), "{algorithm}: {body}");
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "{algorithm}: the refusal must not run the job"
+        );
+        // finite scores whose absolute sum overflows gave NaN metrics
+        let huge = format!(
+            r#"{{"algorithm":"{algorithm}","scores":[1e308,-1e308,0.5,0.25],"groups":[0,0,1,1],"seed":1}}"#
+        );
+        let (status, _, body) = http(port, "POST", "/rank", &huge);
+        assert_eq!(status, 400, "{algorithm}: {body}");
+    }
+    let sparse_votes =
+        r#"{"algorithm":"borda","votes":[[0,1,2,3],[1,0,2,3]],"groups":[0,1,2,10000000]}"#;
+    let (status, _, body) = http(port, "POST", "/aggregate", sparse_votes);
+    assert_eq!(status, 400, "{body}");
+    // the process survived every refusal
+    let (status, _, body) = http(port, "GET", "/healthz", "");
+    assert_eq!(status, 200, "{body}");
+    let _ = child.kill();
+    let _ = child.wait();
 }
 
 #[test]

@@ -2,11 +2,24 @@
 //!
 //! The sampling loop is the hottest path of the serving engine, so
 //! [`MallowsFairRanker::rank`] streams samples through the selection
-//! criterion instead of materializing them: each candidate is drawn by
-//! a zero-allocation [`RimSampler`], evaluated incrementally (IDCG
-//! precomputed once, infeasible-index counts buffer reused, Kendall tau
-//! read directly off the insertion code without decoding), and only a
-//! winning sample is ever decoded into the best-so-far buffer.
+//! criterion instead of materializing them, in two stages that keep
+//! the stream order:
+//!
+//! * **draw** — the calling thread, the only user of the RNG, draws
+//!   each sample's insertion code (`u32`) and its total `Σ code`, the
+//!   sample's exact Kendall tau distance to the centre;
+//! * **evaluate** — in draw order, a sample whose pre-decode bound
+//!   already loses is dropped; the rest are decoded into rows of
+//!   centre ranks and scanned against the plan's centre-ordered
+//!   columns, with the exact early-abandon thresholds of the best so
+//!   far. Only the winner's row is mapped back to item ids.
+//!
+//! Decoding and scoring never feed back into the draw, so with a
+//! thread budget of two or more, wide enough rankings and enough
+//! samples, the evaluate stage runs on one scoped helper thread while
+//! the caller keeps drawing. Otherwise it runs inline through the same
+//! functions. Either way the winner, its tie-breaks, its objective
+//! bits and the abandon count are those of one sequential pass.
 
 use crate::kernel::{CriterionKernel, CriterionPlan, Precomputed};
 use crate::{FairMallowsError, Result};
@@ -14,8 +27,24 @@ use fairness_metrics::{infeasible, FairnessBounds, GroupAssignment};
 use mallows_model::tables::{RimSampler, SamplerTables};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use ranking_core::lehmer::{self, DecodeScratch};
 use ranking_core::{distance, quality, Permutation};
+use std::sync::mpsc;
 use std::sync::Arc;
+
+/// Shortest ranking whose evaluate stage moves to a helper thread when
+/// the thread budget allows.
+pub const PIPELINE_MIN_N: usize = 4096;
+
+/// Fewest stage values (`n × m`) worth a helper thread. Starting and
+/// joining one costs tens of microseconds, and a pipeline saves about
+/// one stage's time per sample after the first: on a 2-vCPU host the
+/// two paths broke even near 4 samples of 4096 items and 2 of 10⁴.
+const PIPELINE_MIN_WORK: usize = 4 * PIPELINE_MIN_N;
+
+/// Code buffers in flight between the drawing and the evaluating
+/// thread: one being evaluated, one being drawn.
+const PIPELINE_DEPTH: usize = 2;
 
 /// Selection criterion for choosing among the `m` Mallows samples
 /// (Algorithm 1, line 8: `choose_ranking(c, samples)`).
@@ -226,26 +255,34 @@ impl MallowsFairRanker {
         tables: &Arc<SamplerTables>,
         rng: &mut R,
     ) -> Result<RankOutput> {
-        self.rank_precomputed(center, tables, Precomputed::default(), rng)
+        self.rank_precomputed(center, tables, Precomputed::default(), 1, rng)
     }
 
     /// [`MallowsFairRanker::rank_with_tables`] reusing constants the
-    /// caller already derived for the criterion (see [`Precomputed`]).
+    /// caller already derived for the criterion (see [`Precomputed`]),
+    /// with a thread budget: at `threads ≥ 2` a ranking of at least
+    /// [`PIPELINE_MIN_N`] items with enough samples (`n × m ≥ 4 ×
+    /// PIPELINE_MIN_N`, `m ≥ 2`) is decoded and scored on a helper
+    /// thread while this one draws (see the module docs). The result
+    /// does not depend on `threads`.
     pub fn rank_precomputed<R: Rng + ?Sized>(
         &self,
         center: &Permutation,
         tables: &Arc<SamplerTables>,
         pre: Precomputed<'_>,
+        threads: usize,
         rng: &mut R,
     ) -> Result<RankOutput> {
         let m = match self.criterion {
             Criterion::FirstSample => 1,
             _ => self.num_samples,
         };
-        let plan = CriterionPlan::compile(&self.criterion, center.len(), pre)?;
-        let (obj, ranking, abandoned) = self.rank_streaming(center, tables, &plan, m, rng)?;
+        let plan = CriterionPlan::compile(&self.criterion, center, pre)?;
+        let (obj, ranks, abandoned) = self.rank_streaming(tables, &plan, m, threads, rng)?;
+        // free the gathered columns before the winner's item row exists
+        drop(plan);
         Ok(RankOutput {
-            ranking,
+            ranking: items_of(center, &ranks),
             samples_drawn: m,
             criterion_value: self.criterion.report(obj),
             samples_abandoned: abandoned,
@@ -253,23 +290,20 @@ impl MallowsFairRanker {
     }
 
     /// The streaming best-of-`m` core: returns the raw (lower-is-
-    /// better) objective, the winning sample and the number of samples
-    /// dropped by the early-abandon bound.
+    /// better) objective, the winner's row of centre ranks and the
+    /// number of samples dropped by the early-abandon bound.
     ///
-    /// Each sample's insertion code is drawn into one reused buffer,
-    /// decoded into one reused scratch permutation and run through the
-    /// compiled kernels — samples whose pre-decode bound (exact Kendall
-    /// term plus plan constants) already disqualifies them skip the
-    /// decode entirely. Holding one code and one row keeps both
-    /// cache-resident at large `n`.
+    /// Codes are drawn here, on the calling thread, and evaluated in
+    /// draw order by a [`Selection`] — on a helper thread when the
+    /// budget and the sizes allow it, inline otherwise.
     fn rank_streaming<R: Rng + ?Sized>(
         &self,
-        center: &Permutation,
         tables: &Arc<SamplerTables>,
         plan: &CriterionPlan<'_>,
         m: usize,
+        threads: usize,
         rng: &mut R,
-    ) -> Result<(f64, Permutation, u64)> {
+    ) -> Result<(f64, Vec<u32>, u64)> {
         if tables.theta() != self.theta {
             return Err(FairMallowsError::Mallows(
                 mallows_model::MallowsError::InvalidTheta {
@@ -277,54 +311,30 @@ impl MallowsFairRanker {
                 },
             ));
         }
-        let n = center.len();
-        debug_assert_eq!(plan.n(), n, "plan compiled for a different length");
-        let mut sampler = RimSampler::from_tables(center.clone(), Arc::clone(tables))?;
-        let mut best = Permutation::identity(0);
-        let mut best_obj = f64::INFINITY;
-        let mut have_best = false;
-        if plan.is_kendall_only() {
+        let n = plan.n();
+        if tables.n() < n {
+            return Err(FairMallowsError::Mallows(
+                mallows_model::MallowsError::LengthMismatch {
+                    center: n,
+                    other: tables.n(),
+                },
+            ));
+        }
+        let mut selection = Selection::new(plan);
+        let pipelined = threads >= 2
+            && m >= 2
+            && n >= PIPELINE_MIN_N
+            && n.saturating_mul(m) >= PIPELINE_MIN_WORK
+            && draw_pipelined(tables, plan, m, rng, &mut selection);
+        if !pipelined {
+            let mut code = Vec::with_capacity(n);
             for _ in 0..m {
-                sampler.sample_code(rng);
-                // d_KT to the centre is Σ code: evaluate without
-                // decoding, and decode only the (rare) new winners
-                let obj = sampler.code_total() as f64;
-                if !have_best || obj < best_obj {
-                    sampler.decode_code_into(&mut best);
-                    best_obj = obj;
-                    have_best = true;
-                }
-            }
-            debug_assert!(have_best, "m ≥ 1 samples were drawn");
-            return Ok((best_obj, best, 0));
-        }
-        let mut kernel = CriterionKernel::new(plan);
-        let mut code = Vec::new();
-        // a new winner swaps its buffer with the old best
-        let mut row = Permutation::identity(0);
-        let mut abandoned = 0u64;
-        for _ in 0..m {
-            tables.sample_code_into(n, &mut code, rng);
-            let code_total: u64 = code.iter().map(|&v| v as u64).sum();
-            let threshold = have_best.then_some(best_obj);
-            if plan.abandons_predecode(code_total, threshold) {
-                abandoned += 1;
-                continue;
-            }
-            sampler.decode_external_code_into(&code, &mut row);
-            match kernel.evaluate(plan, &row, center, Some(code_total), threshold) {
-                None => abandoned += 1,
-                Some(obj) => {
-                    if !have_best || obj < best_obj {
-                        std::mem::swap(&mut best, &mut row);
-                        best_obj = obj;
-                        have_best = true;
-                    }
-                }
+                let total = draw_code(tables, n, &mut code, rng);
+                selection.consume(plan, &code, total);
             }
         }
-        debug_assert!(have_best, "m ≥ 1 samples were drawn");
-        Ok((best_obj, best, abandoned))
+        debug_assert!(selection.have_best, "m ≥ 1 samples were drawn");
+        Ok((selection.best_obj, selection.best, selection.abandoned))
     }
 
     /// The unabridged scalar reference of the streaming loop: draw,
@@ -428,16 +438,18 @@ impl MallowsFairRanker {
         };
         let batches = batches.clamp(1, m);
         let threads = threads.clamp(1, batches);
-        let plan = CriterionPlan::compile(&self.criterion, center.len(), pre)?;
+        let plan = CriterionPlan::compile(&self.criterion, center, pre)?;
         let plan = &plan;
         let run_batch = |b: usize| {
             // splitmix-style stream separation per batch
             let seed = base_seed.wrapping_add((b as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
             let mut rng = StdRng::seed_from_u64(seed);
             let batch_m = m / batches + usize::from(b < m % batches);
-            self.rank_streaming(center, tables, plan, batch_m, &mut rng)
+            // the batches already share the thread budget: no batch
+            // starts a pipeline helper of its own
+            self.rank_streaming(tables, plan, batch_m, 1, &mut rng)
         };
-        type BatchOutcome = Option<Result<(f64, Permutation, u64)>>;
+        type BatchOutcome = Option<Result<(f64, Vec<u32>, u64)>>;
         let mut outcomes: Vec<BatchOutcome> = Vec::new();
         outcomes.resize_with(batches, || None);
         if threads == 1 {
@@ -468,18 +480,18 @@ impl MallowsFairRanker {
                 }
             });
         }
-        let mut best: Option<(f64, Permutation)> = None;
+        let mut best: Option<(f64, Vec<u32>)> = None;
         let mut abandoned = 0u64;
         for outcome in outcomes {
-            let (obj, ranking, batch_abandoned) = outcome.expect("every batch ran")?;
+            let (obj, ranks, batch_abandoned) = outcome.expect("every batch ran")?;
             abandoned += batch_abandoned;
             if best.as_ref().is_none_or(|(b, _)| obj < *b) {
-                best = Some((obj, ranking));
+                best = Some((obj, ranks));
             }
         }
-        let (obj, ranking) = best.expect("at least one batch ran");
+        let (obj, ranks) = best.expect("at least one batch ran");
         Ok(RankOutput {
-            ranking,
+            ranking: items_of(center, &ranks),
             samples_drawn: m,
             criterion_value: self.criterion.report(obj),
             samples_abandoned: abandoned,
@@ -493,6 +505,137 @@ impl MallowsFairRanker {
         let center = Permutation::sorted_by_scores_desc(scores);
         self.rank(&center, rng)
     }
+}
+
+/// The evaluate stage: everything the selection keeps between samples.
+/// All buffers are allocated where it is built, on the drawing thread.
+struct Selection {
+    kernel: CriterionKernel,
+    scratch: DecodeScratch,
+    /// The row being scored; a new winner swaps it with `best`.
+    ranks: Vec<u32>,
+    best: Vec<u32>,
+    best_obj: f64,
+    have_best: bool,
+    abandoned: u64,
+}
+
+impl Selection {
+    fn new(plan: &CriterionPlan<'_>) -> Selection {
+        let row = plan.n() + lehmer::WINDOW;
+        Selection {
+            kernel: CriterionKernel::new(plan),
+            scratch: DecodeScratch::new(),
+            ranks: Vec::with_capacity(row),
+            best: Vec::with_capacity(row),
+            best_obj: f64::INFINITY,
+            have_best: false,
+            abandoned: 0,
+        }
+    }
+
+    /// Evaluate the next sample of the stream (its code and `Σ code`)
+    /// against the best so far, with the strict `obj < best_obj` winner
+    /// test.
+    fn consume(&mut self, plan: &CriterionPlan<'_>, code: &[u32], total: u64) {
+        let threshold = self.have_best.then_some(self.best_obj);
+        if plan.is_kendall_only() {
+            // the objective is Σ code: decode only the (rare) winners
+            let obj = total as f64;
+            if threshold.is_none_or(|best| obj < best) {
+                lehmer::decode_ranks_into(code, total, &mut self.scratch, &mut self.best);
+                self.best_obj = obj;
+                self.have_best = true;
+            }
+            return;
+        }
+        if plan.abandons_predecode(total, threshold) {
+            self.abandoned += 1;
+            return;
+        }
+        lehmer::decode_ranks_into(code, total, &mut self.scratch, &mut self.ranks);
+        match self.kernel.evaluate(plan, &self.ranks, total, threshold) {
+            None => self.abandoned += 1,
+            Some(obj) => {
+                if threshold.is_none_or(|best| obj < best) {
+                    std::mem::swap(&mut self.best, &mut self.ranks);
+                    self.best_obj = obj;
+                    self.have_best = true;
+                }
+            }
+        }
+    }
+}
+
+/// Draw one insertion code of length `n` into `code`; returns `Σ code`.
+fn draw_code<R: Rng + ?Sized>(
+    tables: &SamplerTables,
+    n: usize,
+    code: &mut Vec<u32>,
+    rng: &mut R,
+) -> u64 {
+    tables.sample_code_into(n, code, rng);
+    code.iter().map(|&v| u64::from(v)).sum()
+}
+
+/// Draw `m` codes on this thread while one scoped helper thread feeds
+/// them, in order, to `selection`. [`PIPELINE_DEPTH`] code buffers
+/// circulate between the two, so neither allocates after the first
+/// round. Returns false, having drawn nothing, when the helper cannot
+/// be started; a panic on the helper resumes on this thread.
+fn draw_pipelined<R: Rng + ?Sized>(
+    tables: &SamplerTables,
+    plan: &CriterionPlan<'_>,
+    m: usize,
+    rng: &mut R,
+    selection: &mut Selection,
+) -> bool {
+    let n = plan.n();
+    let (full_tx, full_rx) = mpsc::sync_channel::<(Vec<u32>, u64)>(PIPELINE_DEPTH);
+    let (free_tx, free_rx) = mpsc::sync_channel::<Vec<u32>>(PIPELINE_DEPTH);
+    std::thread::scope(|scope| {
+        let helper = std::thread::Builder::new()
+            .name("fairrank-evaluate".to_string())
+            .spawn_scoped(scope, move || {
+                for (code, total) in full_rx {
+                    selection.consume(plan, &code, total);
+                    // the drawing side stops receiving after its last draw
+                    let _ = free_tx.send(code);
+                }
+            });
+        let Ok(helper) = helper else {
+            return false;
+        };
+        for i in 0..m {
+            let mut code = if i < PIPELINE_DEPTH {
+                Vec::with_capacity(n)
+            } else {
+                match free_rx.recv() {
+                    Ok(code) => code,
+                    // the helper is gone: its panic resumes below
+                    Err(_) => break,
+                }
+            };
+            let total = draw_code(tables, n, &mut code, rng);
+            if full_tx.send((code, total)).is_err() {
+                break;
+            }
+        }
+        drop(full_tx);
+        if let Err(panic) = helper.join() {
+            std::panic::resume_unwind(panic);
+        }
+        true
+    })
+}
+
+/// The winner's row of centre ranks as item ids.
+fn items_of(center: &Permutation, ranks: &[u32]) -> Permutation {
+    let order = ranks[..center.len()]
+        .iter()
+        .map(|&r| center.item_at(r as usize))
+        .collect();
+    Permutation::from_order_unchecked(order)
 }
 
 #[cfg(test)]

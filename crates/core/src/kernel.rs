@@ -9,8 +9,17 @@
 //! root criterion's ideal DCG or compiled bounds hands them over as
 //! [`Precomputed`] and the plan borrows them instead of recomputing.
 //! The plan is immutable and `Send + Sync`, so `rank_batched` shares
-//! one across its worker threads; each thread owns a small
-//! [`CriterionKernel`] scratch.
+//! one across its worker threads and the pipelined loop with its
+//! evaluating thread; each thread owns a small [`CriterionKernel`]
+//! scratch.
+//!
+//! Samples reach the kernel as rows of **centre ranks** (the decoder's
+//! output, [`ranking_core::lehmer::decode_ranks_into`]), not item ids:
+//! the plan gathers every per-item column it scans — NDCG gains and
+//! group ids — in centre order once (`gain_c[r] = scores[centre[r]]`),
+//! so a sample near the centre reads its columns almost sequentially.
+//! The scan walks each check interval once per column with a local
+//! accumulator, so no per-element dispatch over the criterion remains.
 //!
 //! Values are **bit-identical** to [`Criterion::objective`]: every
 //! accumulator adds the same terms in the same order, and the final
@@ -85,14 +94,15 @@ enum Node {
     Weighted(Vec<(f64, f64, Node)>),
 }
 
-/// Per-element work of the fused scan, flattened so the hot loop is a
-/// short slice walk instead of a tree recursion.
-enum ScanOp<'c> {
-    /// `acc[slot] += scores[item] * discounts[idx]` (+ positive-score
+/// One scanned column, gathered in centre order (index = centre
+/// rank), flattened so the scan is a short list of slice walks instead
+/// of a tree recursion.
+enum ScanOp {
+    /// `acc[slot] += gains[rank] * discounts[idx]` (+ positive-gain
     /// tracking for the abandon bound).
-    Ndcg { scores: &'c [f64], slot: usize },
-    /// Feed the item's group id to the compiled infeasible kernel.
-    Infeasible { ids: &'c [usize], slot: usize },
+    Ndcg { gains: Vec<f64>, slot: usize },
+    /// Feed the rank's group id to the compiled infeasible kernel.
+    Infeasible { groups: Vec<u32>, slot: usize },
 }
 
 /// A [`Criterion`] compiled for rankings of `n` items. Immutable;
@@ -100,7 +110,7 @@ enum ScanOp<'c> {
 pub(crate) struct CriterionPlan<'c> {
     n: usize,
     root: Node,
-    ops: Vec<ScanOp<'c>>,
+    ops: Vec<ScanOp>,
     /// `Discount::Log2.table(n)` — bit-identical to the pointwise calls
     /// the reference path makes. Empty when no NDCG part needs it.
     discounts: Cow<'c, [f64]>,
@@ -116,25 +126,30 @@ pub(crate) struct CriterionPlan<'c> {
     abandon_slack: f64,
 }
 
-struct BuildCtx<'c> {
-    ops: Vec<ScanOp<'c>>,
+struct BuildCtx<'a> {
+    /// The centre the scanned rank rows are relative to.
+    center: &'a [usize],
+    ops: Vec<ScanOp>,
     ndcg_slots: usize,
     inf_templates: Vec<CompiledInfeasible>,
     need_discounts: bool,
 }
 
 impl<'c> CriterionPlan<'c> {
-    /// Compile `criterion` for rankings of `n` items, validating every
-    /// shape up front (the reference path re-validated per sample).
+    /// Compile `criterion` for rank rows relative to `center` (rankings
+    /// of `center.len()` items), validating every shape up front (the
+    /// reference path re-validated per sample).
     pub(crate) fn compile(
-        criterion: &'c Criterion,
-        n: usize,
+        criterion: &Criterion,
+        center: &Permutation,
         pre: Precomputed<'c>,
     ) -> Result<CriterionPlan<'c>> {
+        let n = center.len();
         if let Some(ideal) = pre.ideal {
             check_len(ideal.discounts().len(), n)?;
         }
         let mut ctx = BuildCtx {
+            center: center.as_order(),
             ops: Vec::new(),
             ndcg_slots: 0,
             inf_templates: Vec::new(),
@@ -201,10 +216,10 @@ fn check_len(expected: usize, got: usize) -> Result<()> {
     Ok(())
 }
 
-fn build<'c>(
-    criterion: &'c Criterion,
+fn build(
+    criterion: &Criterion,
     n: usize,
-    ctx: &mut BuildCtx<'c>,
+    ctx: &mut BuildCtx<'_>,
     pre: Precomputed<'_>,
 ) -> Result<Node> {
     match criterion {
@@ -224,7 +239,8 @@ fn build<'c>(
                 // all-zero-score parts are the constant −1 and skip
                 // the scan entirely, like the reference short-circuit
                 ctx.need_discounts = true;
-                ctx.ops.push(ScanOp::Ndcg { scores, slot });
+                let gains = ctx.center.iter().map(|&item| scores[item]).collect();
+                ctx.ops.push(ScanOp::Ndcg { gains, slot });
             }
             let pos_sum = scores.iter().map(|s| s.max(0.0)).sum();
             let abs_sum: f64 = scores.iter().map(|s| s.abs()).sum();
@@ -259,10 +275,21 @@ fn build<'c>(
                 }
                 None => CompiledInfeasible::compile(bounds, n),
             });
-            ctx.ops.push(ScanOp::Infeasible {
-                ids: groups.as_slice(),
-                slot,
-            });
+            let ids = groups.as_slice();
+            let groups = ctx
+                .center
+                .iter()
+                .map(|&item| {
+                    // group ids index per-group arrays, so they are
+                    // far below u32::MAX in any assignment that fits
+                    // memory; refuse rather than truncate
+                    u32::try_from(ids[item]).map_err(|_| FairMallowsError::CriterionShape {
+                        expected: u32::MAX as usize,
+                        got: ids[item],
+                    })
+                })
+                .collect::<Result<_>>()?;
+            ctx.ops.push(ScanOp::Infeasible { groups, slot });
             Ok(Node::Infeasible { slot })
         }
         Criterion::Weighted(parts) => {
@@ -375,21 +402,20 @@ impl CriterionKernel {
         }
     }
 
-    /// Evaluate one decoded sample.
+    /// Evaluate one decoded sample, given as its row of centre ranks
+    /// (at least `plan.n()` entries; only the first `n` are read) and
+    /// its exact Kendall tau distance to the centre, `code_total`.
     ///
     /// Returns `Some(objective)` — bit-identical to
-    /// [`Criterion::objective`] — or `None` when `best_obj` is given
-    /// and the sample was proven unable to satisfy `obj < best_obj`
-    /// (exact early abandon; the sample cannot be the winner).
-    ///
-    /// `code_total`, when available, is the sample's exact Kendall tau
-    /// distance to the centre read off its insertion code.
+    /// [`Criterion::objective`] of the sample's item order — or `None`
+    /// when `best_obj` is given and the sample was proven unable to
+    /// satisfy `obj < best_obj` (exact early abandon; the sample cannot
+    /// be the winner).
     pub(crate) fn evaluate(
         &mut self,
         plan: &CriterionPlan<'_>,
-        sample: &Permutation,
-        center: &Permutation,
-        code_total: Option<u64>,
+        ranks: &[u32],
+        code_total: u64,
         best_obj: Option<f64>,
     ) -> Option<f64> {
         for acc in &mut self.ndcg {
@@ -398,36 +424,48 @@ impl CriterionKernel {
         for kernel in &mut self.inf {
             kernel.begin();
         }
-        let order = sample.as_order();
-        let n = order.len();
+        let n = plan.n;
+        let ranks = &ranks[..n];
         let abandoning = plan.abandonable && best_obj.is_some();
         let interval = check_interval(n);
         let mut i = 0usize;
         while i < n {
             let stop = (i + interval).min(n);
-            for (idx, &item) in order[i..stop].iter().enumerate().map(|(o, it)| (i + o, it)) {
-                for op in &plan.ops {
-                    match op {
-                        ScanOp::Ndcg { scores, slot } => {
-                            let s = scores[item];
-                            let acc = &mut self.ndcg[*slot];
-                            acc.acc += s * plan.discounts[idx];
-                            acc.placed_pos += s.max(0.0);
+            let block = &ranks[i..stop];
+            // one column at a time: each accumulator still adds its
+            // terms in position order, so the sums are the reference's
+            for op in &plan.ops {
+                match op {
+                    ScanOp::Ndcg { gains, slot } => {
+                        let acc = &mut self.ndcg[*slot];
+                        let (mut dcg, mut placed_pos) = (acc.acc, acc.placed_pos);
+                        for (&rank, &disc) in block.iter().zip(&plan.discounts[i..stop]) {
+                            let gain = gains[rank as usize];
+                            dcg += gain * disc;
+                            placed_pos += gain.max(0.0);
                         }
-                        ScanOp::Infeasible { ids, slot } => self.inf[*slot].place(ids[item]),
+                        *acc = NdcgAcc {
+                            acc: dcg,
+                            placed_pos,
+                        };
+                    }
+                    ScanOp::Infeasible { groups, slot } => {
+                        let kernel = &mut self.inf[*slot];
+                        for &rank in block {
+                            kernel.place(groups[rank as usize] as usize);
+                        }
                     }
                 }
             }
             i = stop;
-            if abandoning && i < n {
-                let best = best_obj.expect("abandoning implies a best");
+            if let (true, Some(best)) = (abandoning && i < n, best_obj) {
                 let bound = self.node_bound(&plan.root, plan, code_total, i);
                 if bound - plan.abandon_slack >= best {
                     return None;
                 }
             }
         }
-        Some(self.final_objective(&plan.root, sample, center, code_total))
+        Some(self.final_objective(&plan.root, code_total))
     }
 
     /// Proven lower bound of the final objective after `placed`
@@ -443,18 +481,12 @@ impl CriterionKernel {
         &self,
         node: &Node,
         plan: &CriterionPlan<'_>,
-        code_total: Option<u64>,
+        code_total: u64,
         placed: usize,
     ) -> f64 {
         match node {
             Node::First => 0.0,
-            Node::Kendall => match code_total {
-                Some(d) => d as f64,
-                // unknown distance: an always-valid (useless) bound —
-                // only reachable through test harnesses, never the
-                // streaming loop
-                None => f64::NEG_INFINITY,
-            },
+            Node::Kendall => code_total as f64,
             Node::Ndcg {
                 idcg,
                 pos_sum,
@@ -481,13 +513,7 @@ impl CriterionKernel {
 
     /// The exact objective after a full scan — op for op the reference
     /// [`Criterion::objective`] expression over the accumulated state.
-    fn final_objective(
-        &self,
-        node: &Node,
-        sample: &Permutation,
-        center: &Permutation,
-        code_total: Option<u64>,
-    ) -> f64 {
+    fn final_objective(&self, node: &Node, code_total: u64) -> f64 {
         match node {
             Node::First => 0.0,
             Node::Ndcg { idcg, slot, .. } => {
@@ -497,16 +523,12 @@ impl CriterionKernel {
                     -(self.ndcg[*slot].acc / idcg)
                 }
             }
-            Node::Kendall => match code_total {
-                Some(d) => d as f64,
-                None => distance::kendall_tau(sample, center)
-                    .expect("sample and centre share a length") as f64,
-            },
+            Node::Kendall => code_total as f64,
             Node::Infeasible { slot } => self.inf[*slot].total() as f64,
             Node::Weighted(parts) => {
                 let mut total = 0.0;
                 for (w, norm, part) in parts {
-                    total += *w * (self.final_objective(part, sample, center, code_total) / *norm);
+                    total += *w * (self.final_objective(part, code_total) / *norm);
                 }
                 total
             }
@@ -518,12 +540,52 @@ impl CriterionKernel {
 mod tests {
     use super::*;
     use fairness_metrics::{FairnessBounds, GroupAssignment};
-    use mallows_model::MallowsModel;
+    use mallows_model::SamplerTables;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use ranking_core::lehmer::{self, DecodeScratch};
 
     fn scores(n: usize) -> Vec<f64> {
         (0..n).map(|i| 1.0 - i as f64 / n as f64).collect()
+    }
+
+    /// Draws Mallows samples around a centre as the kernel sees them:
+    /// a rank row plus its code total, and the item order the
+    /// reference objective scores.
+    struct Draws {
+        center: Permutation,
+        tables: SamplerTables,
+        rng: StdRng,
+        code: Vec<u32>,
+        scratch: DecodeScratch,
+        ranks: Vec<u32>,
+    }
+
+    impl Draws {
+        fn new(center: Permutation, theta: f64, seed: u64) -> Draws {
+            let tables = SamplerTables::new(center.len(), theta).unwrap();
+            Draws {
+                center,
+                tables,
+                rng: StdRng::seed_from_u64(seed),
+                code: Vec::new(),
+                scratch: DecodeScratch::new(),
+                ranks: Vec::new(),
+            }
+        }
+
+        fn next(&mut self) -> (u64, Permutation) {
+            let n = self.center.len();
+            self.tables
+                .sample_code_into(n, &mut self.code, &mut self.rng);
+            let total = self.code.iter().map(|&v| u64::from(v)).sum();
+            lehmer::decode_ranks_into(&self.code, total, &mut self.scratch, &mut self.ranks);
+            let order = self.ranks[..n]
+                .iter()
+                .map(|&r| self.center.item_at(r as usize))
+                .collect();
+            (total, Permutation::from_order(order).unwrap())
+        }
     }
 
     #[test]
@@ -544,19 +606,20 @@ mod tests {
                 (0.5, Criterion::MinKendallTau),
             ]),
         ];
-        let center = Permutation::sorted_by_scores_desc(&s);
-        let model = MallowsModel::new(center.clone(), 0.6).unwrap();
+        // a centre that is not the score order, so the gathered
+        // columns differ from the item-indexed ones
+        let center = Permutation::from_order(vec![3, 0, 11, 5, 1, 8, 2, 10, 4, 9, 6, 7]).unwrap();
         for criterion in &criteria {
-            let plan = CriterionPlan::compile(criterion, 12, Precomputed::default()).unwrap();
+            let plan = CriterionPlan::compile(criterion, &center, Precomputed::default()).unwrap();
             let mut kernel = CriterionKernel::new(&plan);
-            let mut rng = StdRng::seed_from_u64(13);
+            let mut draws = Draws::new(center.clone(), 0.6, 13);
             for _ in 0..25 {
-                let sample = model.sample(&mut rng);
+                let (total, sample) = draws.next();
                 let fast = kernel
-                    .evaluate(&plan, &sample, &center, None, None)
+                    .evaluate(&plan, &draws.ranks, total, None)
                     .expect("no abandon without a best");
                 let reference = criterion.objective_value(&sample, &center).unwrap();
-                assert_eq!(fast, reference);
+                assert_eq!(fast.to_bits(), reference.to_bits());
             }
         }
     }
@@ -573,17 +636,16 @@ mod tests {
             (0.4, Criterion::MinInfeasibleIndex { groups, bounds }),
         ]);
         let center = Permutation::sorted_by_scores_desc(&s);
-        let plan = CriterionPlan::compile(&criterion, 10, Precomputed::default()).unwrap();
+        let plan = CriterionPlan::compile(&criterion, &center, Precomputed::default()).unwrap();
         assert!(plan.abandonable);
         let mut kernel = CriterionKernel::new(&plan);
-        let model = MallowsModel::new(center.clone(), 0.4).unwrap();
-        let mut rng = StdRng::seed_from_u64(77);
+        let mut draws = Draws::new(center.clone(), 0.4, 77);
         let mut best = f64::INFINITY;
         let mut abandoned = 0;
         for _ in 0..200 {
-            let sample = model.sample(&mut rng);
+            let (total, sample) = draws.next();
             let reference = criterion.objective_value(&sample, &center).unwrap();
-            match kernel.evaluate(&plan, &sample, &center, None, Some(best)) {
+            match kernel.evaluate(&plan, &draws.ranks, total, Some(best)) {
                 Some(obj) => {
                     assert_eq!(obj, reference);
                     if obj < best {
@@ -605,7 +667,8 @@ mod tests {
     #[test]
     fn negative_weights_disable_abandoning() {
         let criterion = Criterion::Weighted(vec![(-1.0, Criterion::MinKendallTau)]);
-        let plan = CriterionPlan::compile(&criterion, 6, Precomputed::default()).unwrap();
+        let center = Permutation::identity(6);
+        let plan = CriterionPlan::compile(&criterion, &center, Precomputed::default()).unwrap();
         assert!(!plan.abandonable);
         assert!(!plan.abandons_predecode(100, Some(-100.0)));
     }
@@ -613,7 +676,8 @@ mod tests {
     #[test]
     fn predecode_abandon_uses_the_exact_kendall_term() {
         let criterion = Criterion::Weighted(vec![(1.0, Criterion::MinKendallTau)]);
-        let plan = CriterionPlan::compile(&criterion, 10, Precomputed::default()).unwrap();
+        let center = Permutation::identity(10);
+        let plan = CriterionPlan::compile(&criterion, &center, Precomputed::default()).unwrap();
         let norm = distance::max_kendall_tau(10) as f64;
         // best = 8/45: a code total of 9 cannot win, 7 still can
         assert!(plan.abandons_predecode(9, Some(8.0 / norm)));

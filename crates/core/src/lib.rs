@@ -39,7 +39,7 @@ pub mod noise;
 pub mod oblivious;
 pub mod tune;
 
-pub use algorithm::{Criterion, MallowsFairRanker, RankOutput};
+pub use algorithm::{Criterion, MallowsFairRanker, RankOutput, PIPELINE_MIN_N};
 pub use kernel::Precomputed;
 pub use noise::{CenteredPlackettLuce, GenericFairRanker, NoiseModel};
 pub use tune::{expected_ndcg, theta_for_target_ndcg, NdcgCalibration};

@@ -208,6 +208,10 @@ fn algo_err<E: std::error::Error + Send + Sync + 'static>(e: E) -> EngineError {
 
 /// Dense group assignment from a job's `groups` column (empty ⇒ one
 /// group containing everything).
+///
+/// The group count is the largest id + 1, and bounds, steps and centre
+/// allocate and loop per group, so an id is bounded by the pool size:
+/// a pool of `n` items has at most `n` non-empty groups.
 fn group_assignment(groups: &[usize], n: usize) -> Result<GroupAssignment, EngineError> {
     if groups.is_empty() {
         return GroupAssignment::new(vec![0; n], 1).map_err(algo_err);
@@ -216,6 +220,11 @@ fn group_assignment(groups: &[usize], n: usize) -> Result<GroupAssignment, Engin
         return Err(invalid(format!(
             "groups has {} entries, expected {n}",
             groups.len()
+        )));
+    }
+    if let Some(&id) = groups.iter().find(|&&g| g >= n) {
+        return Err(invalid(format!(
+            "group id {id} is out of range: {n} items have ids 0..{n}"
         )));
     }
     let num_groups = groups.iter().max().map_or(1, |&g| g + 1);
@@ -256,6 +265,13 @@ fn scores_input(job: &RankJob) -> Result<(&[f64], GroupAssignment), EngineError>
     }
     if scores.iter().any(|s| !s.is_finite()) {
         return Err(invalid("scores must be finite"));
+    }
+    // every DCG the job computes is bounded by Σ|s| (discounts are at
+    // most 1), so a finite sum keeps every reported metric finite
+    if !scores.iter().map(|s| s.abs()).sum::<f64>().is_finite() {
+        return Err(invalid(
+            "scores are too large: their absolute sum overflows",
+        ));
     }
     Ok((scores, group_assignment(groups, scores.len())?))
 }
@@ -360,7 +376,8 @@ fn run_score_algorithm(
             let ranker = MallowsFairRanker::new(p.theta, p.samples, criterion).map_err(algo_err)?;
             let center = plan.centre();
             // the insertion-CDF table is cached across requests keyed
-            // on (n, θ); wide sample counts fan out across threads
+            // on (n, θ); wide sample counts fan out across threads, and
+            // the sequential loop may evaluate on a second one
             let tables = ctx
                 .tables
                 .get_or_build(center.len(), p.theta)
@@ -376,7 +393,7 @@ fn run_score_algorithm(
                     ctx.batch_threads,
                 )
             } else {
-                ranker.rank_precomputed(&center, &tables, pre, rng)
+                ranker.rank_precomputed(&center, &tables, pre, ctx.batch_threads, rng)
             };
             let out = out.map_err(algo_err)?;
             extra_metrics.push((
@@ -659,6 +676,53 @@ mod tests {
                 .run(&job, &ExecContext::default(), &mut rng)
                 .is_err());
         }
+    }
+
+    #[test]
+    fn sparse_group_ids_and_overflowing_scores_are_invalid() {
+        // every entry point runs jobs through `execute`, so these are
+        // the checks the CLI, the HTTP routes and `/jobs` all apply
+        let r = Registry::standard();
+        let ctx = ExecContext::default();
+        let sparse = |algorithm: &str| {
+            let mut job = scores_job(algorithm);
+            job.input = JobInput::Scores {
+                scores: vec![0.9, 0.8, 0.4, 0.3],
+                groups: vec![0, 1, 2, 10_000_000],
+            };
+            job
+        };
+        for name in SCORE_ALGORITHMS {
+            let err = execute(&*r.get(name).unwrap(), &sparse(name), &ctx).unwrap_err();
+            assert!(matches!(err, EngineError::InvalidJob(_)), "{name}: {err}");
+            assert!(
+                err.to_string().contains("group id 10000000"),
+                "{name}: {err}"
+            );
+            // ±1e308 are finite, but their absolute sum is not
+            let mut huge = scores_job(name);
+            huge.input = JobInput::Scores {
+                scores: vec![1e308, -1e308, 0.5, 0.25],
+                groups: vec![0, 0, 1, 1],
+            };
+            let err = execute(&*r.get(name).unwrap(), &huge, &ctx).unwrap_err();
+            assert!(matches!(err, EngineError::InvalidJob(_)), "{name}: {err}");
+        }
+        // a group id of n − 1 is the densest sparse assignment allowed
+        let mut edge = scores_job("mallows");
+        edge.input = JobInput::Scores {
+            scores: vec![0.9, 0.8, 0.4, 0.3],
+            groups: vec![0, 0, 3, 3],
+        };
+        assert!(execute(&*r.get("mallows").unwrap(), &edge, &ctx).is_ok());
+        // vote jobs take their group column through the same check
+        let mut votes = votes_job("borda");
+        votes.input = JobInput::Votes {
+            votes: vec![vec![0, 1, 2, 3]],
+            groups: vec![0, 0, 1, 4],
+        };
+        let err = execute(&*r.get("borda").unwrap(), &votes, &ctx).unwrap_err();
+        assert!(matches!(err, EngineError::InvalidJob(_)), "{err}");
     }
 
     #[test]

@@ -283,7 +283,8 @@ proptest! {
     ) {
         let n = draws.len();
         let scores = pool(&draws, draws[0] % 2 == 0, false);
-        let ids: Vec<usize> = group_draws[..n].iter().map(|&d| (d % 3) as usize).collect();
+        // group ids stay below the pool size, as the registry requires
+        let ids: Vec<usize> = group_draws[..n].iter().map(|&d| (d % 3) as usize % n).collect();
         let groups = GroupAssignment::new(ids.clone(), 3).unwrap();
         let params = JobParams {
             samples: if wide { 64 } else { 7 },

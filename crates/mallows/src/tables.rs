@@ -255,13 +255,10 @@ impl SamplerTables {
     /// Fill `code` with a fresh stage-valid insertion code (`code[j−1]`
     /// is stage `j`'s inversion count) for a ranking of `len ≤ n`
     /// items, reusing the buffer. Draws exactly what `len` calls of
-    /// [`SamplerTables::sample_stage_reference`] would.
-    pub fn sample_code_into<R: Rng + ?Sized>(
-        &self,
-        len: usize,
-        code: &mut Vec<usize>,
-        rng: &mut R,
-    ) {
+    /// [`SamplerTables::sample_stage_reference`] would. Stage values
+    /// are below `len`, so they fit `u32` for every ranking the
+    /// decoders accept (`len ≤ u32::MAX`).
+    pub fn sample_code_into<R: Rng + ?Sized>(&self, len: usize, code: &mut Vec<u32>, rng: &mut R) {
         debug_assert!(len <= self.n);
         code.clear();
         code.reserve(len);
@@ -269,12 +266,13 @@ impl SamplerTables {
             return;
         }
         // stage 1 has a single slot and draws nothing; stages 2..=sat+1
-        // see a still-growing prefix; the rest share the saturated CDF,
-        // so the hot loop carries no per-stage branch
+        // see a still-growing prefix; the rest share the saturated CDF
+        // (whose answers lie in 0..=sat), so the hot loop carries no
+        // per-stage branch
         code.push(0);
         let galloped = len.min(self.sat + 1);
-        code.extend((2..=galloped).map(|j| self.gallop(j, rng.random())));
-        code.extend((galloped..len).map(|_| self.guided(rng.random())));
+        code.extend((2..=galloped).map(|j| self.gallop(j, rng.random()) as u32));
+        code.extend((galloped..len).map(|_| self.guided(rng.random()) as u32));
     }
 }
 
@@ -368,7 +366,7 @@ pub fn sample_reference<R: Rng + ?Sized>(
 pub struct RimSampler {
     center: Permutation,
     tables: Arc<SamplerTables>,
-    code: Vec<usize>,
+    code: Vec<u32>,
     scratch: DecodeScratch,
 }
 
@@ -410,7 +408,7 @@ impl RimSampler {
     /// Draw a fresh insertion code into the internal buffer and return
     /// it. The code alone determines the sample; decode lazily via
     /// [`RimSampler::decode_code_into`].
-    pub fn sample_code<R: Rng + ?Sized>(&mut self, rng: &mut R) -> &[usize] {
+    pub fn sample_code<R: Rng + ?Sized>(&mut self, rng: &mut R) -> &[u32] {
         self.tables
             .sample_code_into(self.center.len(), &mut self.code, rng);
         &self.code
@@ -419,28 +417,13 @@ impl RimSampler {
     /// `Σ code` of the last drawn code — exactly the Kendall tau
     /// distance between the (not yet decoded) sample and the centre.
     pub fn code_total(&self) -> u64 {
-        self.code.iter().map(|&v| v as u64).sum()
+        self.code.iter().map(|&v| u64::from(v)).sum()
     }
 
     /// Decode the last drawn code into `out`, reusing its buffer.
     pub fn decode_code_into(&mut self, out: &mut Permutation) {
         lehmer::decode_insertion_code_into(&self.center, &self.code, &mut self.scratch, out)
             .expect("sampled code is stage-valid by construction");
-    }
-
-    /// Decode a caller-held insertion code (as drawn by
-    /// [`SamplerTables::sample_code_into`]) into `out`, reusing the
-    /// sampler's decode scratch. Blocked selection loops draw a batch
-    /// of codes into their own row buffers first, then decode the rows
-    /// they still need — identically to interleaved
-    /// [`RimSampler::sample_code`]/[`RimSampler::decode_code_into`]
-    /// calls, since decoding consumes no randomness.
-    ///
-    /// # Panics
-    /// When `code` is not stage-valid for this sampler's centre.
-    pub fn decode_external_code_into(&mut self, code: &[usize], out: &mut Permutation) {
-        lehmer::decode_insertion_code_into(&self.center, code, &mut self.scratch, out)
-            .expect("caller-provided code must be stage-valid");
     }
 
     /// Draw one exact Mallows sample into `out`, reusing its buffer —
@@ -562,8 +545,8 @@ mod tests {
             let mut code = Vec::new();
             for _ in 0..3 {
                 t.sample_code_into(n, &mut code, &mut fast);
-                let expect: Vec<usize> = (1..=n)
-                    .map(|j| t.sample_stage_reference(j, &mut oracle))
+                let expect: Vec<u32> = (1..=n)
+                    .map(|j| t.sample_stage_reference(j, &mut oracle) as u32)
                     .collect();
                 assert_eq!(code, expect, "θ={theta}");
                 assert_eq!(fast.at, oracle.at);
@@ -674,19 +657,21 @@ mod tests {
 
     #[test]
     fn external_code_decode_matches_internal_path() {
+        // a code drawn straight from the table and decoded by the
+        // library decoder is the sampler's own draw
         let center = Permutation::random(60, &mut StdRng::seed_from_u64(21));
         let tables = Arc::new(SamplerTables::new(60, 0.4).unwrap());
         let mut a = RimSampler::from_tables(center.clone(), Arc::clone(&tables)).unwrap();
-        let mut b = RimSampler::from_tables(center, Arc::clone(&tables)).unwrap();
         let mut rng_a = StdRng::seed_from_u64(5);
         let mut rng_b = StdRng::seed_from_u64(5);
         let mut out_a = Permutation::identity(0);
         let mut out_b = Permutation::identity(0);
         let mut code = Vec::new();
+        let mut scratch = DecodeScratch::new();
         for _ in 0..15 {
             a.sample_into(&mut out_a, &mut rng_a);
             tables.sample_code_into(60, &mut code, &mut rng_b);
-            b.decode_external_code_into(&code, &mut out_b);
+            lehmer::decode_insertion_code_into(&center, &code, &mut scratch, &mut out_b).unwrap();
             assert_eq!(out_a, out_b);
         }
     }

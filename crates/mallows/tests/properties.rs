@@ -4,7 +4,8 @@ use mallows_model::tables::SamplerTables;
 use mallows_model::{CayleyMallows, MallowsMixture, MallowsModel, TopKMallows};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
+use ranking_core::lehmer::{self, DecodeScratch};
 use ranking_core::{distance, Permutation};
 
 fn permutation(n: usize) -> impl Strategy<Value = Permutation> {
@@ -27,7 +28,69 @@ fn is_permutation_of(items: &[usize], n: usize) -> bool {
     })
 }
 
+/// Hand-built codes around the decoder's edges: all zero, maximal
+/// (`v = j−1`, the reversed centre), and offsets pinned to either side
+/// of the window width (7, 8, 9) where the stage allows them.
+fn edge_codes(n: usize, rng: &mut StdRng) -> Vec<Vec<u32>> {
+    let capped = |v: u32| (0..n as u32).map(move |j| v.min(j)).collect::<Vec<u32>>();
+    vec![
+        vec![0; n],
+        (0..n as u32).collect(),
+        capped(7),
+        capped(8),
+        capped(9),
+        (0..n as u32)
+            .map(|j| [0u32, 7, 8, 9][rng.random_range(0..4usize)].min(j))
+            .collect(),
+    ]
+}
+
+/// Decodes `code` every way the library can and checks they agree: the
+/// rank row mapped through the centre, the item decoder, and the
+/// `Vec::insert` streaming decoder as the independent oracle.
+fn assert_decoders_agree(center: &Permutation, code: &[u32], scratch: &mut DecodeScratch) {
+    let n = center.len();
+    let total = code.iter().map(|&v| u64::from(v)).sum();
+    let mut ranks = Vec::new();
+    lehmer::decode_ranks_into(code, total, scratch, &mut ranks);
+    assert_eq!(ranks.len(), n + lehmer::WINDOW);
+    let mapped: Vec<usize> = ranks[..n]
+        .iter()
+        .map(|&r| center.item_at(r as usize))
+        .collect();
+    let mut items = Permutation::identity(0);
+    lehmer::decode_insertion_code_into(center, code, scratch, &mut items).unwrap();
+    let mut oracle = Permutation::identity(0);
+    lehmer::decode_streaming_into(center, &mut oracle, |j| code[j - 1] as usize);
+    assert_eq!(mapped.as_slice(), oracle.as_order(), "rank row, n={n}");
+    assert_eq!(items, oracle, "item decoder, n={n}");
+    assert_eq!(distance::kendall_tau(&oracle, center).unwrap(), total);
+}
+
 proptest! {
+    /// The centre-rank window decoder (with its Fenwick fallback for
+    /// large code totals), mapped through the centre, decodes every
+    /// code exactly like the item decoder and the `Vec::insert` oracle:
+    /// sampled codes from θ = 0 (uniform, so the Fenwick path at larger
+    /// n) to θ = 40 (all zero), and the hand-built edge codes.
+    #[test]
+    fn rank_decoder_matches_the_insert_oracle(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut scratch = DecodeScratch::new();
+        let mut code = Vec::new();
+        for n in [0usize, 1, 2, 7, 8, 9, 17, 127, 128, 600] {
+            let center = Permutation::random(n, &mut rng);
+            for theta in [0.0, 0.05, 0.6, 2.0, 40.0] {
+                let tables = SamplerTables::new(n, theta).unwrap();
+                tables.sample_code_into(n, &mut code, &mut rng);
+                assert_decoders_agree(&center, &code, &mut scratch);
+            }
+            for edge in edge_codes(n, &mut rng) {
+                assert_decoders_agree(&center, &edge, &mut scratch);
+            }
+        }
+    }
+
     /// The guide-table stage sampler is the galloping search, draw for
     /// draw: the same code stage for stage and the same RNG end state,
     /// on both sides of the saturation point (θ = 0 never saturates,
@@ -43,8 +106,8 @@ proptest! {
                     let mut oracle = fast.clone();
                     let mut code = Vec::new();
                     tables.sample_code_into(len, &mut code, &mut fast);
-                    let expect: Vec<usize> = (1..=len)
-                        .map(|j| tables.sample_stage_reference(j, &mut oracle))
+                    let expect: Vec<u32> = (1..=len)
+                        .map(|j| tables.sample_stage_reference(j, &mut oracle) as u32)
                         .collect();
                     prop_assert_eq!(&code, &expect, "n={} θ={} len={}", n, theta, len);
                     prop_assert_eq!(&fast, &oracle, "RNG state, n={} θ={} len={}", n, theta, len);

@@ -430,9 +430,17 @@ fn draining_backend_jobs_are_resubmitted_and_finish() {
     use fairrank_engine::registry::{Algorithm, AlgorithmKind, Registry};
     use fairrank_engine::tables::ExecContext;
     use rand::rngs::StdRng;
+    use std::sync::{Condvar, Mutex};
 
-    /// Slow enough that a drain lands mid-batch.
-    struct Sleepy;
+    /// Holds every sleepy chunk until the test opens it, so the drain
+    /// always lands while the drained backend's batches are unfinished.
+    #[derive(Default)]
+    struct Gate {
+        open: Mutex<bool>,
+        opened: Condvar,
+    }
+
+    struct Sleepy(Arc<Gate>);
     impl Algorithm for Sleepy {
         fn name(&self) -> &str {
             "sleepy"
@@ -446,7 +454,10 @@ fn draining_backend_jobs_are_resubmitted_and_finish() {
             _ctx: &ExecContext,
             _rng: &mut StdRng,
         ) -> Result<RankResult, fairrank_engine::EngineError> {
-            std::thread::sleep(Duration::from_millis(5));
+            let mut open = self.0.open.lock().unwrap();
+            while !*open {
+                open = self.0.opened.wait(open).unwrap();
+            }
             Ok(RankResult {
                 algorithm: job.algorithm.clone(),
                 ranking: vec![0],
@@ -456,22 +467,28 @@ fn draining_backend_jobs_are_resubmitted_and_finish() {
         }
     }
 
-    fn sleepy_backend() -> ServerHandle {
+    fn sleepy_backend(gate: &Arc<Gate>) -> ServerHandle {
         let mut registry = Registry::standard();
-        registry.register(Arc::new(Sleepy));
+        registry.register(Arc::new(Sleepy(Arc::clone(gate))));
         spawn_backend_with(Engine::with_registry(test_engine_config(), registry))
     }
 
-    let backend_a = sleepy_backend();
-    let backend_b = sleepy_backend();
+    let gate = Arc::new(Gate::default());
+    let backend_a = sleepy_backend(&gate);
+    let backend_b = sleepy_backend(&gate);
     let addr_a = backend_a.addr().to_string();
     let router = spawn_router(vec![addr_a.clone(), backend_b.addr().to_string()], 20, 0);
     wait_ready(router.addr(), 2);
 
-    // ten 20-chunk jobs: ~1 s of sleepy work, far longer than the
-    // submit loop, so the drain below lands mid-batch
+    // at least ten 20-chunk jobs, and more until the drained backend
+    // owns more of them than its batch runners can hold: with the gate
+    // shut, one of its jobs is then certainly still queued at the drain
+    let runners = test_engine_config().job_runners;
     let mut job_ids = Vec::new();
-    for job in 0..10u64 {
+    let mut owned_by_a = 0;
+    let mut job = 0u64;
+    while job < 10 || owned_by_a <= runners {
+        assert!(job < 200, "backend A never owned {} jobs", runners + 1);
         let chunks: Vec<String> = (0..20)
             .map(|i| {
                 format!(
@@ -483,15 +500,28 @@ fn draining_backend_jobs_are_resubmitted_and_finish() {
         let body = format!(r#"{{"chunks":[{}]}}"#, chunks.join(","));
         let (status, head, response) = http(router.addr(), "POST", "/jobs", &body);
         assert_eq!(status, 202, "{response}");
-        assert!(header(&head, "x-backend").is_some(), "{head}");
+        let backend = header(&head, "x-backend").unwrap_or_else(|| panic!("{head}"));
+        owned_by_a += usize::from(backend == addr_a);
         let id: u64 = response
             .strip_prefix("{\"id\":")
             .and_then(|rest| rest.split(',').next()?.parse().ok())
             .unwrap_or_else(|| panic!("bad submit response: {response}"));
         job_ids.push(id);
+        job += 1;
     }
+    let (status, _, ready) = http(backend_a.addr(), "GET", "/readyz", "");
+    assert_eq!(status, 200, "{ready}");
+    assert!(
+        !ready.contains("\"jobs_queued\":0"),
+        "a job must be queued on the drained backend: {ready}"
+    );
 
-    // drain one backend mid-batch (blocks until drained, so spawn it)
+    // drain one backend mid-batch: its queued jobs are cancelled now,
+    // its running ones finish once the gate opens (the shutdown blocks
+    // until then, so it runs on its own thread)
+    backend_a.begin_drain();
+    *gate.open.lock().unwrap() = true;
+    gate.opened.notify_all();
     let drainer = std::thread::spawn(move || backend_a.shutdown());
 
     // every poll must answer 200 and every job must reach done —
