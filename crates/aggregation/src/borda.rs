@@ -20,28 +20,6 @@ pub fn borda(votes: &[Permutation]) -> Result<Permutation> {
     Ok(Permutation::from_order_unchecked(items))
 }
 
-/// Weighted Borda: votes carry non-negative weights (e.g. voter
-/// reliability). Weights of zero drop the vote; all-zero weights reduce
-/// to index order.
-pub fn borda_weighted(votes: &[Permutation], weights: &[f64]) -> Result<Permutation> {
-    let n = validate(votes)?;
-    assert_eq!(votes.len(), weights.len(), "one weight per vote");
-    let mut total = vec![0.0f64; n];
-    for (v, &w) in votes.iter().zip(weights) {
-        for (pos, &item) in v.as_order().iter().enumerate() {
-            total[item] += w.max(0.0) * pos as f64;
-        }
-    }
-    let mut items: Vec<usize> = (0..n).collect();
-    items.sort_by(|&a, &b| {
-        total[a]
-            .partial_cmp(&total[b])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    Ok(Permutation::from_order_unchecked(items))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,14 +45,6 @@ mod tests {
         let b = Permutation::from_order(vec![1, 0]).unwrap();
         let out = borda(&[a, b]).unwrap();
         assert_eq!(out.as_order(), &[0, 1]);
-    }
-
-    #[test]
-    fn weights_shift_the_outcome() {
-        let a = Permutation::from_order(vec![0, 1]).unwrap();
-        let b = Permutation::from_order(vec![1, 0]).unwrap();
-        let out = borda_weighted(&[a, b], &[1.0, 3.0]).unwrap();
-        assert_eq!(out.as_order(), &[1, 0]);
     }
 
     #[test]

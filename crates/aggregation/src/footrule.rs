@@ -9,7 +9,7 @@
 
 use crate::{validate, Result};
 use assignment_solver::CostMatrix;
-use ranking_core::{distance, Permutation};
+use ranking_core::Permutation;
 
 /// The footrule-optimal aggregate of the votes.
 pub fn footrule_optimal(votes: &[Permutation]) -> Result<Permutation> {
@@ -36,26 +36,21 @@ pub fn footrule_optimal(votes: &[Permutation]) -> Result<Permutation> {
     Ok(Permutation::from_order_unchecked(order))
 }
 
-/// Total footrule distance from `pi` to all votes.
-pub fn total_footrule_distance(pi: &Permutation, votes: &[Permutation]) -> Result<u64> {
-    validate(votes)?;
-    let mut total = 0u64;
-    for v in votes {
-        total +=
-            distance::footrule(pi, v).map_err(|_| crate::AggregationError::LengthMismatch {
-                expected: pi.len(),
-                got: v.len(),
-            })?;
-    }
-    Ok(total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kemeny::total_kendall_distance;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use ranking_core::distance;
+
+    /// Total footrule distance from `pi` to all votes.
+    fn total_footrule_distance(pi: &Permutation, votes: &[Permutation]) -> u64 {
+        votes
+            .iter()
+            .map(|v| distance::footrule(pi, v).unwrap())
+            .sum()
+    }
 
     #[test]
     fn unanimous_votes_are_optimal() {
@@ -71,9 +66,9 @@ mod tests {
             let votes: Vec<Permutation> =
                 (0..5).map(|_| Permutation::random(6, &mut rng)).collect();
             let out = footrule_optimal(&votes).unwrap();
-            let best = total_footrule_distance(&out, &votes).unwrap();
+            let best = total_footrule_distance(&out, &votes);
             for pi in Permutation::enumerate_all(6) {
-                assert!(total_footrule_distance(&pi, &votes).unwrap() >= best);
+                assert!(total_footrule_distance(&pi, &votes) >= best);
             }
         }
     }

@@ -14,7 +14,7 @@ use ranking_core::{distance, Permutation};
 /// Total Kendall tau distance from `pi` to all votes — the Kemeny
 /// objective. `O(v · n log n)`: one merge-sort-based distance per
 /// vote. Kept as the reference implementation (and test oracle) for
-/// [`total_kendall_distance_from_wins`], which is the one to call when
+/// `total_kendall_distance_from_wins`, which is the one to call when
 /// evaluating many candidate rankings against the same votes.
 pub fn total_kendall_distance(pi: &Permutation, votes: &[Permutation]) -> Result<u64> {
     validate(votes)?;
@@ -39,7 +39,7 @@ pub fn total_kendall_distance(pi: &Permutation, votes: &[Permutation]) -> Result
 /// evaluating `k` candidates costs `O(v·n² + k·n²)` instead of
 /// `O(k · v · n log n)`, which is what makes exhaustive enumeration
 /// and repeated local-search scoring affordable.
-pub fn total_kendall_distance_from_wins(wins: &WinsMatrix, order: &[usize]) -> u64 {
+fn total_kendall_distance_from_wins(wins: &WinsMatrix, order: &[usize]) -> u64 {
     let mut total = 0u64;
     for (pos, &a) in order.iter().enumerate() {
         for &b in &order[pos + 1..] {

@@ -16,8 +16,8 @@
 //! * [`footrule`] — footrule-optimal aggregation via minimum-cost
 //!   matching (Dwork et al., WWW'01), a 2-approximation to Kemeny;
 //! * [`markov`] — the MC3/MC4 Markov-chain aggregators of Dwork et al.;
-//! * [`condorcet`] — Condorcet winner, Condorcet-order check and Smith
-//!   set, used as certificates for the heuristics.
+//! * [`condorcet_winner`], [`is_condorcet_order`] and [`smith_set`] —
+//!   Condorcet certificates for the heuristics.
 //!
 //! All aggregators consume a non-empty slice of equal-length complete
 //! rankings ("votes") and produce a consensus [`Permutation`].
@@ -25,7 +25,7 @@
 #![forbid(unsafe_code)]
 
 pub mod borda;
-pub mod condorcet;
+mod condorcet;
 pub mod copeland;
 pub mod footrule;
 pub mod kemeny;
@@ -35,9 +35,7 @@ pub use borda::borda;
 pub use condorcet::{condorcet_winner, is_condorcet_order, smith_set};
 pub use copeland::copeland;
 pub use footrule::footrule_optimal;
-pub use kemeny::{
-    kemeny_exact, kwik_sort, local_search, total_kendall_distance, total_kendall_distance_from_wins,
-};
+pub use kemeny::{kemeny_exact, kwik_sort, local_search, total_kendall_distance};
 pub use markov::{markov_chain_aggregate, ChainKind, MarkovConfig};
 
 use ranking_core::Permutation;
@@ -95,8 +93,8 @@ pub(crate) fn validate(votes: &[Permutation]) -> Result<usize> {
 /// Stored as one row-major flat `u32` buffer — one allocation and a
 /// cache-friendly layout instead of `n` separate heap rows, which is
 /// what the `O(n²)`-per-candidate Kemeny scoring loops walk over and
-/// over. [`pairwise_wins_nested`] keeps the nested-`Vec` construction
-/// as the test oracle.
+/// over. The tests keep the nested-`Vec` construction,
+/// `pairwise_wins_nested`, as its oracle.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WinsMatrix {
     n: usize,
@@ -132,28 +130,28 @@ pub fn pairwise_wins(votes: &[Permutation]) -> Result<WinsMatrix> {
     Ok(WinsMatrix { n, counts })
 }
 
-/// Nested-`Vec` pairwise preference matrix, `wins[a][b]` = votes
-/// ranking `a` before `b` — the original formulation, kept as the
-/// oracle the flat [`pairwise_wins`] is tested against.
-pub fn pairwise_wins_nested(votes: &[Permutation]) -> Result<Vec<Vec<usize>>> {
-    let n = validate(votes)?;
-    let mut wins = vec![vec![0usize; n]; n];
-    for v in votes {
-        let pos = v.positions();
-        for a in 0..n {
-            for b in 0..n {
-                if a != b && pos[a] < pos[b] {
-                    wins[a][b] += 1;
-                }
-            }
-        }
-    }
-    Ok(wins)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Nested-`Vec` pairwise preference matrix, `wins[a][b]` = votes
+    /// ranking `a` before `b` — the original formulation, kept as the
+    /// oracle the flat [`pairwise_wins`] is tested against.
+    fn pairwise_wins_nested(votes: &[Permutation]) -> Result<Vec<Vec<usize>>> {
+        let n = validate(votes)?;
+        let mut wins = vec![vec![0usize; n]; n];
+        for v in votes {
+            let pos = v.positions();
+            for a in 0..n {
+                for b in 0..n {
+                    if a != b && pos[a] < pos[b] {
+                        wins[a][b] += 1;
+                    }
+                }
+            }
+        }
+        Ok(wins)
+    }
 
     #[test]
     fn validate_rejects_empty_and_mismatched() {

@@ -63,10 +63,12 @@ pub const FORBID_UNSAFE_MISSING: &str = "FORBID_UNSAFE_MISSING";
 pub const METRICS_UNDOCUMENTED: &str = "METRICS_UNDOCUMENTED";
 /// Documented metric families must be registered.
 pub const METRICS_UNREGISTERED: &str = "METRICS_UNREGISTERED";
+/// Library `pub` items must be named by some other file.
+pub const UNREACHED_PUB: &str = "UNREACHED_PUB";
 /// The allowlist itself is malformed.
 pub const ALLOWLIST_INVALID: &str = "ALLOWLIST_INVALID";
 /// An allowlist entry matched no finding.
-pub const ALLOWLIST_UNUSED: &str = "ALLOWLIST_UNUSED";
+const ALLOWLIST_UNUSED: &str = "ALLOWLIST_UNUSED";
 
 /// Run the full pass over the workspace at `root`.
 ///
@@ -82,6 +84,8 @@ pub fn run(
     let crate_names = ws.crate_names();
     let mut findings: Vec<Diagnostic> = Vec::new();
     let mut registered = Vec::new();
+    let mut pub_items = Vec::new();
+    let mut names = Vec::new();
     let mut files_scanned = 0usize;
 
     for member in &ws.members {
@@ -122,8 +126,35 @@ pub fn run(
             if config.metrics_sources.iter().any(|m| m == rel) {
                 lints::collect_registered_metrics(&ctx, &crate_names, &mut registered);
             }
+            // `src/main.rs` and `src/bin/` are binary targets: their
+            // `pub` is not library surface, and their imports come
+            // from outside the library
+            let in_lib = !rel.ends_with("src/main.rs") && !rel.contains("src/bin/");
+            if in_lib {
+                lints::collect_pub_items(&ctx, &mut pub_items);
+            }
+            let lib_crate = in_lib.then_some(member.name.as_str());
+            names.push(lints::FileNames::new(rel, lib_crate, &lexed.tokens));
         }
     }
+
+    // tests, benches, examples and the configured directories only
+    // count as callers for UNREACHED_PUB
+    let mut references: Vec<String> = ws
+        .members
+        .iter()
+        .flat_map(|m| m.references.iter().cloned())
+        .collect();
+    for dir in &config.reference_dirs {
+        references.extend(walker::rs_files(root, dir)?);
+    }
+    for rel in &references {
+        let abs = ws.abs(rel);
+        let src = std::fs::read_to_string(&abs)
+            .map_err(|e| format!("cannot read {}: {e}", abs.display()))?;
+        names.push(lints::FileNames::new(rel, None, &lexer::lex(&src).tokens));
+    }
+    lints::unreached_pub(&pub_items, &names, &mut findings);
 
     // a missing docs file reads as empty: every registered family then
     // correctly reports undocumented, and a workspace with no metric

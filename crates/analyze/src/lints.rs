@@ -22,13 +22,17 @@
 //! * [`metrics_consistency`] — every metric family registered in the
 //!   engine/router must appear in `docs/HTTP_API.md` and vice versa;
 //!   docs drift is a build failure, not a review nitpick.
+//! * [`unreached_pub`] — a library `pub` item that no other file names
+//!   is surface nothing calls; delete it or drop the `pub`.
 
 use crate::diag::Diagnostic;
 use crate::lexer::{Lexed, Token, TokenKind};
 use crate::{
     DETERMINISM_CLOCK, DETERMINISM_HASH_ORDER, DETERMINISM_RNG, FORBID_UNSAFE_MISSING,
-    METRICS_UNDOCUMENTED, METRICS_UNREGISTERED, PANIC_PATH, UNBOUNDED_CHANNEL, UNSAFE_NO_SAFETY,
+    METRICS_UNDOCUMENTED, METRICS_UNREGISTERED, PANIC_PATH, UNBOUNDED_CHANNEL, UNREACHED_PUB,
+    UNSAFE_NO_SAFETY,
 };
+use std::collections::BTreeSet;
 
 /// Which lints apply where. The defaults
 /// ([`LintConfig::workspace_default`]) encode this workspace's layout;
@@ -47,6 +51,9 @@ pub struct LintConfig {
     /// Documentation files that must list every family (and name no
     /// unknown ones).
     pub metrics_docs: Vec<String>,
+    /// Workspace-relative directories outside every member whose `.rs`
+    /// files count as references for [`unreached_pub`] (never linted).
+    pub reference_dirs: Vec<String>,
 }
 
 impl LintConfig {
@@ -87,6 +94,9 @@ impl LintConfig {
             .map(str::to_string)
             .to_vec(),
             metrics_docs: ["docs/HTTP_API.md"].map(str::to_string).to_vec(),
+            reference_dirs: ["perfbench/src", "perfbench/tests"]
+                .map(str::to_string)
+                .to_vec(),
         }
     }
 
@@ -479,6 +489,216 @@ pub fn metrics_consistency(
                 ),
             });
         }
+    }
+}
+
+/// The item keywords [`unreached_pub`] checks after a bare `pub`.
+const PUB_ITEM_KINDS: [&str; 8] = [
+    "fn", "struct", "enum", "trait", "const", "static", "type", "mod",
+];
+
+/// A bare-`pub` item declared in a library file.
+pub struct PubItem {
+    /// The item keyword (`fn`, `struct`, …).
+    pub kind: &'static str,
+    /// The item's name.
+    pub name: String,
+    /// Declaring file, workspace-relative.
+    pub file: String,
+    /// Declaring crate's package name.
+    pub crate_name: String,
+    /// Line of the name.
+    pub line: u32,
+    /// Column of the name.
+    pub col: u32,
+    /// Identifiers of the item's interface: a `fn`'s signature, or a
+    /// type's or trait's whole definition. A type used there is
+    /// reached whenever the item is.
+    pub interface: BTreeSet<String>,
+}
+
+/// Collect the bare-`pub` items of one library file's non-test code.
+/// `pub(crate)`-style restricted items and `pub use` re-exports are
+/// not items of the public surface and are skipped.
+pub fn collect_pub_items(ctx: &FileContext, out: &mut Vec<PubItem>) {
+    let code = ctx.code;
+    for i in 0..code.len() {
+        if !is_ident(code.get(i), "pub") || is_punct(code.get(i + 1), "(") {
+            continue;
+        }
+        // qualifiers: `pub const fn`, `pub unsafe extern "C" fn`, …
+        let mut j = i + 1;
+        loop {
+            let qualifier = ["unsafe", "async", "extern"]
+                .iter()
+                .any(|q| is_ident(code.get(j), q))
+                || (is_ident(code.get(j), "const")
+                    && ["fn", "unsafe", "async", "extern"]
+                        .iter()
+                        .any(|q| is_ident(code.get(j + 1), q)));
+            if !qualifier {
+                break;
+            }
+            j += 1;
+            if matches!(code.get(j), Some(t) if t.kind == TokenKind::Str) {
+                j += 1; // the ABI string of `extern "C"`
+            }
+        }
+        let Some(kind) = PUB_ITEM_KINDS.iter().find(|k| is_ident(code.get(j), k)) else {
+            continue;
+        };
+        j += 1;
+        if *kind == "static" && is_ident(code.get(j), "mut") {
+            j += 1;
+        }
+        let Some(name) = code.get(j).filter(|t| t.kind == TokenKind::Ident) else {
+            continue;
+        };
+        out.push(PubItem {
+            kind,
+            name: name.text.clone(),
+            file: ctx.rel.to_string(),
+            crate_name: ctx.crate_name.to_string(),
+            line: name.line,
+            col: name.col,
+            interface: interface_idents(&code[j + 1..], *kind == "fn"),
+        });
+    }
+}
+
+/// The identifiers from just after an item's name to the end of its
+/// interface: the first `;` outside brackets, the `}` that closes its
+/// body or, for a `fn` (whose body is not interface), the `{` that
+/// opens it.
+fn interface_idents(rest: &[Token], is_fn: bool) -> BTreeSet<String> {
+    let mut idents = BTreeSet::new();
+    let mut depth = 0usize;
+    for t in rest {
+        match (t.kind, t.text.as_str()) {
+            (TokenKind::Punct, "{") if is_fn && depth == 0 => break,
+            (TokenKind::Punct, ";") if depth == 0 => break,
+            (TokenKind::Punct, "(" | "[" | "{") => depth += 1,
+            (TokenKind::Punct, ")" | "]" | "}") => {
+                depth = depth.saturating_sub(1);
+                if depth == 0 && t.text == "}" {
+                    break;
+                }
+            }
+            (TokenKind::Ident, name) => {
+                idents.insert(name.to_string());
+            }
+            _ => {}
+        }
+    }
+    idents
+}
+
+/// The identifiers one file names, for [`unreached_pub`].
+pub struct FileNames {
+    /// Workspace-relative path.
+    pub file: String,
+    /// The package whose library target holds this file; `None` for
+    /// binary targets, tests, benches, examples and reference-only
+    /// directories.
+    pub lib_crate: Option<String>,
+    /// Identifiers outside `use` declarations.
+    pub named: BTreeSet<String>,
+    /// Identifiers inside `use` / `pub use` declarations.
+    pub imported: BTreeSet<String>,
+    /// Identifiers written `$crate::name` in a macro body: every crate
+    /// that expands the macro names them.
+    pub macro_paths: BTreeSet<String>,
+}
+
+impl FileNames {
+    /// Split a file's full token stream (test code included: a test in
+    /// another file is a caller) into named and imported identifiers.
+    pub fn new(file: &str, lib_crate: Option<&str>, tokens: &[Token]) -> Self {
+        let mut names = FileNames {
+            file: file.to_string(),
+            lib_crate: lib_crate.map(str::to_string),
+            named: BTreeSet::new(),
+            imported: BTreeSet::new(),
+            macro_paths: BTreeSet::new(),
+        };
+        let mut in_use = false;
+        for (i, t) in tokens.iter().enumerate() {
+            let after_crate_path = i >= 4
+                && is_punct(tokens.get(i - 4), "$")
+                && is_ident(tokens.get(i - 3), "crate")
+                && is_punct(tokens.get(i - 2), ":")
+                && is_punct(tokens.get(i - 1), ":");
+            if t.kind == TokenKind::Ident && after_crate_path {
+                names.macro_paths.insert(t.text.clone());
+            }
+            match t.kind {
+                TokenKind::Ident if t.text == "use" => in_use = true,
+                TokenKind::Ident if in_use => {
+                    names.imported.insert(t.text.clone());
+                }
+                TokenKind::Ident => {
+                    names.named.insert(t.text.clone());
+                }
+                TokenKind::Punct if t.text == ";" => in_use = false,
+                _ => {}
+            }
+        }
+        names
+    }
+
+    /// Whether this file references `item`: it is another file and it
+    /// names the item outside a `use`, or it imports the item from
+    /// outside the declaring crate's library, or it is the declaring
+    /// crate and one of its macros expands to `$crate::item`.
+    fn reaches(&self, item: &PubItem) -> bool {
+        let same_crate = self.lib_crate.as_deref() == Some(item.crate_name.as_str());
+        (self.file != item.file
+            && (self.named.contains(&item.name)
+                || (!same_crate && self.imported.contains(&item.name))))
+            || (same_crate && self.macro_paths.contains(&item.name))
+    }
+}
+
+/// Unreached public surface: a library `pub` item that no other file
+/// names. Its own file does not count (that caller needs no `pub`),
+/// and neither does a `use` or `pub use` inside the declaring crate's
+/// library (a re-export nobody calls reaches nothing). A `struct`,
+/// `enum`, `trait` or `type` is also reached through the interface of
+/// a reached item in its own file: callers of `pub fn f() -> T` use
+/// `T` without naming it, and `T` cannot be private.
+pub fn unreached_pub(items: &[PubItem], files: &[FileNames], out: &mut Vec<Diagnostic>) {
+    let mut reached: Vec<bool> = items
+        .iter()
+        .map(|item| files.iter().any(|f| f.reaches(item)))
+        .collect();
+    let mut grew = true;
+    while grew {
+        grew = false;
+        for (i, item) in items.iter().enumerate() {
+            if reached[i] || !matches!(item.kind, "struct" | "enum" | "trait" | "type") {
+                continue;
+            }
+            let through = items.iter().zip(&reached).any(|(user, &r)| {
+                r && user.file == item.file && user.interface.contains(&item.name)
+            });
+            if through {
+                reached[i] = true;
+                grew = true;
+            }
+        }
+    }
+    for (item, _) in items.iter().zip(reached).filter(|(_, r)| !r) {
+        out.push(Diagnostic {
+            file: item.file.clone(),
+            line: item.line,
+            col: item.col,
+            lint: UNREACHED_PUB,
+            message: format!(
+                "`pub {} {}` is named by no other source, test, bench or example file; \
+                 delete it, or drop the `pub` if this file uses it",
+                item.kind, item.name
+            ),
+        });
     }
 }
 

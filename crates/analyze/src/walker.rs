@@ -1,6 +1,7 @@
 //! Workspace discovery: members from the root `Cargo.toml`, package
-//! names from each member manifest, and the `.rs` files under each
-//! member's `src/` tree.
+//! names from each member manifest, the `.rs` files under each
+//! member's `src/` tree, and the reference-only `.rs` files under its
+//! `tests/`, `benches/` and `examples/` trees.
 //!
 //! Only a tiny TOML subset is parsed — quoted strings inside the
 //! `members = [ … ]` array and `name = "…"` under `[package]` — the
@@ -21,6 +22,10 @@ pub struct Member {
     /// Every `.rs` file under `src/`, workspace-relative with `/`
     /// separators, sorted.
     pub sources: Vec<String>,
+    /// Every `.rs` file under `tests/`, `benches/` and `examples/`
+    /// (fixture trees excluded), in the same form. They are never
+    /// linted; they only count as references for `UNREACHED_PUB`.
+    pub references: Vec<String>,
 }
 
 /// The discovered workspace.
@@ -65,22 +70,19 @@ pub fn discover(root: &Path) -> Result<Workspace, String> {
             .map_err(|e| format!("cannot read {}: {e}", member_manifest.display()))?;
         let name = parse_package_name(&text)
             .ok_or_else(|| format!("{}: no [package] name", member_manifest.display()))?;
-        let src = member_root.join("src");
-        if !src.is_dir() {
+        if !member_root.join("src").is_dir() {
             continue;
         }
-        let mut sources = Vec::new();
-        collect_rs(&src, &mut sources)?;
-        let mut rel_sources: Vec<String> = sources
-            .iter()
-            .filter_map(|p| p.strip_prefix(root).ok())
-            .map(to_slash)
-            .collect();
-        rel_sources.sort();
+        let sources = rs_files(root, &format!("{dir}/src"))?;
+        let mut references = Vec::new();
+        for tree in ["tests", "benches", "examples"] {
+            references.extend(rs_files(root, &format!("{dir}/{tree}"))?);
+        }
         members.push(Member {
             name,
             dir,
-            sources: rel_sources,
+            sources,
+            references,
         });
     }
     Ok(Workspace {
@@ -103,6 +105,25 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
         dir = d.parent().map(Path::to_path_buf);
     }
     None
+}
+
+/// Every `.rs` file under the workspace-relative directory `dir`,
+/// workspace-relative and sorted; empty when `dir` does not exist.
+/// Directories named `fixtures` are skipped: they hold lint inputs,
+/// not compiled code.
+pub fn rs_files(root: &Path, dir: &str) -> Result<Vec<String>, String> {
+    let dir = root.join(dir.strip_prefix("./").unwrap_or(dir));
+    let mut found = Vec::new();
+    if dir.is_dir() {
+        collect_rs(&dir, &mut found)?;
+    }
+    let mut rel: Vec<String> = found
+        .iter()
+        .filter_map(|p| p.strip_prefix(root).ok())
+        .map(to_slash)
+        .collect();
+    rel.sort();
+    Ok(rel)
 }
 
 fn to_slash(p: &Path) -> String {
@@ -202,7 +223,9 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
         let entry = entry.map_err(|e| format!("cannot list {}: {e}", dir.display()))?;
         let path = entry.path();
         if path.is_dir() {
-            collect_rs(&path, out)?;
+            if path.file_name().is_some_and(|n| n != "fixtures") {
+                collect_rs(&path, out)?;
+            }
         } else if path.extension().is_some_and(|ext| ext == "rs") {
             out.push(path);
         }
@@ -261,5 +284,25 @@ name = \"fairrank_thing\"
             .sources
             .iter()
             .any(|s| s == "crates/engine/src/server.rs"));
+        let analyze = ws
+            .members
+            .iter()
+            .find(|m| m.name == "fairrank_analyze")
+            .unwrap();
+        assert!(analyze
+            .references
+            .iter()
+            .any(|s| s == "crates/analyze/tests/golden.rs"));
+        assert!(
+            !analyze.references.iter().any(|s| s.contains("/fixtures/")),
+            "{:?}",
+            analyze.references
+        );
+        let root_pkg = ws.members.iter().find(|m| m.dir == ".").unwrap();
+        assert!(root_pkg.sources.iter().any(|s| s == "src/lib.rs"));
+        assert!(root_pkg
+            .references
+            .iter()
+            .any(|s| s.starts_with("examples/")));
     }
 }

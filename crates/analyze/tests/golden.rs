@@ -8,6 +8,9 @@
 //! strings, raw strings, comments and `#[cfg(test)]` modules to prove
 //! the lexer, not a substring match, drives the pass.
 //!
+//! UNREACHED_PUB looks across files, so its fixtures are small inline
+//! workspaces run through the full pass (`unreached_pub_names`).
+//!
 //! Regenerate the sidecars after an intentional lint change with
 //! `ANALYZE_BLESS=1 cargo test -p fairrank_analyze --test golden`.
 //!
@@ -38,6 +41,7 @@ fn lint_fixture(source: &str, rel: &str) -> Vec<String> {
         channel_crates: Vec::new(),
         metrics_sources: Vec::new(),
         metrics_docs: Vec::new(),
+        reference_dirs: Vec::new(),
     };
     let mut is_crate_root = false;
     for line in source.lines().take_while(|l| l.starts_with("//@")) {
@@ -133,4 +137,119 @@ fn trap_fixtures_stay_silent() {
         let diags = lint_fixture(&source, &format!("crates/fixture/src/{name}.rs"));
         assert!(diags.is_empty(), "{name} should be clean, got {diags:?}");
     }
+}
+
+/// UNREACHED_PUB is cross-file, so its fixture is a small workspace
+/// written to a scratch directory and run through the full pass, the
+/// walker included. Returns the flagged items as `pub <kind> <name>`.
+fn unreached_pub_names(fixture: &str, files: &[(&str, &str)]) -> Vec<String> {
+    let root =
+        std::env::temp_dir().join(format!("fairrank_golden_{fixture}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let write = |rel: &str, content: &str| {
+        let path = root.join(rel);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, content).unwrap();
+    };
+    write("Cargo.toml", "[workspace]\nmembers = [\"lib\", \"app\"]\n");
+    write("lib/Cargo.toml", "[package]\nname = \"lib\"\n");
+    write("app/Cargo.toml", "[package]\nname = \"app\"\n");
+    for (rel, content) in files {
+        write(rel, content);
+    }
+    let config = LintConfig {
+        kernel_crates: Vec::new(),
+        panic_free: Vec::new(),
+        channel_crates: Vec::new(),
+        metrics_sources: Vec::new(),
+        metrics_docs: Vec::new(),
+        reference_dirs: vec!["perfbench/src".to_string()],
+    };
+    let report = fairrank_analyze::run(&root, None, &config).expect("analyze run");
+    let _ = std::fs::remove_dir_all(&root);
+    let mut names: Vec<String> = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.lint == fairrank_analyze::UNREACHED_PUB)
+        .map(|d| d.message.split('`').nth(1).unwrap_or("").to_string())
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn unreached_pub_flags_items_no_other_file_names() {
+    let lib = r#"#![forbid(unsafe_code)]
+mod inner;
+pub use inner::reexported_only;
+
+/// Only this file calls it, so it needs no `pub`.
+pub fn own_file_only() -> u32 { 1 }
+pub fn caller() -> u32 { own_file_only() }
+pub fn from_integration_test() {}
+pub fn from_perfbench() {}
+pub fn in_comment_and_string() {}
+pub(crate) fn restricted() {}
+pub struct Reached;
+pub struct ReachedThroughSignature;
+pub fn returns_it() -> ReachedThroughSignature { ReachedThroughSignature }
+
+#[cfg(test)]
+mod tests {
+    pub fn test_only() {}
+}
+"#;
+    let inner = "pub fn reexported_only() {}\n";
+    let app = r#"#![forbid(unsafe_code)]
+// in_comment_and_string() is mentioned here, but only in a comment
+fn main() {
+    let _ = "in_comment_and_string";
+    let _ = lib::caller();
+    let _ = lib::Reached;
+    let _ = lib::returns_it();
+}
+"#;
+    let names = unreached_pub_names(
+        "unreached",
+        &[
+            ("lib/src/lib.rs", lib),
+            ("lib/src/inner.rs", inner),
+            (
+                "lib/tests/it.rs",
+                "#[test]\nfn t() { lib::from_integration_test(); }\n",
+            ),
+            ("app/src/main.rs", app),
+            (
+                "perfbench/src/main.rs",
+                "fn main() { lib::from_perfbench(); }\n",
+            ),
+        ],
+    );
+    assert_eq!(
+        names,
+        [
+            "pub fn in_comment_and_string",
+            "pub fn own_file_only",
+            "pub fn reexported_only",
+        ]
+    );
+}
+
+#[test]
+fn unreached_pub_counts_imports_from_other_crates_and_macro_paths() {
+    let lib = r#"#![forbid(unsafe_code)]
+pub fn imported_elsewhere() {}
+pub fn expanded_by_macro() {}
+#[macro_export]
+macro_rules! call {
+    () => { $crate::expanded_by_macro() };
+}
+"#;
+    let app =
+        "#![forbid(unsafe_code)]\nuse lib::imported_elsewhere as run;\nfn main() { run(); }\n";
+    let names = unreached_pub_names(
+        "reached",
+        &[("lib/src/lib.rs", lib), ("app/src/main.rs", app)],
+    );
+    assert!(names.is_empty(), "{names:?}");
 }

@@ -10,7 +10,7 @@ use ranking_core::{distance, Permutation};
 
 /// Whether `pi` satisfies `bounds` at every prefix (Definition 1 with
 /// `k = 1`).
-pub fn is_fair(pi: &Permutation, groups: &GroupAssignment, bounds: &FairnessBounds) -> bool {
+fn is_fair(pi: &Permutation, groups: &GroupAssignment, bounds: &FairnessBounds) -> bool {
     fairness_metrics::pfair::is_k_fair(pi, groups, bounds, 1).unwrap_or(false)
 }
 

@@ -12,7 +12,7 @@
 //! ```
 //!
 //! Because the test is applied at every prefix, the family-wise
-//! significance deteriorates; [`adjusted_significance`] computes the
+//! significance deteriorates; `adjusted_significance` computes the
 //! corrected per-test level `α_c` whose family-wise failure probability
 //! equals `α` (the paper's multiple-test correction), via an exact
 //! `O(k²)` dynamic program over binomial paths and bisection on `α_c`.
@@ -34,7 +34,7 @@ use ranking_core::Permutation;
 ///
 /// Computed by a numerically stable forward recurrence on the pmf; exact
 /// to f64 round-off for the `n ≤ 10⁴` sizes used in ranking prefixes.
-pub fn binomial_cdf(m: usize, n: usize, p: f64) -> f64 {
+fn binomial_cdf(m: usize, n: usize, p: f64) -> f64 {
     debug_assert!((0.0..=1.0).contains(&p));
     if p <= 0.0 {
         return 1.0;
@@ -51,20 +51,6 @@ pub fn binomial_cdf(m: usize, n: usize, p: f64) -> f64 {
         cdf += pmf;
     }
     cdf.min(1.0)
-}
-
-/// Minimum number of protected candidates required at prefix length `i`:
-/// the smallest `m` with `F_binom(m; i, p) > α`.
-pub fn minimum_protected(i: usize, p: f64, alpha: f64) -> usize {
-    // m is nondecreasing in i and bounded by ⌈p·i⌉; linear scan is cheap.
-    let mut m = 0usize;
-    while m <= i {
-        if binomial_cdf(m, i, p) > alpha {
-            return m;
-        }
-        m += 1;
-    }
-    i
 }
 
 /// The m-table `m(1..=k; p, α)`: entry `t[i-1]` is the minimum protected
@@ -130,7 +116,7 @@ pub fn mtable_failure_probability(table: &[usize], p: f64) -> f64 {
 ///
 /// Returns `α` unchanged when even the uncorrected table already has
 /// failure probability below `α` (e.g. tiny `k` or extreme `p`).
-pub fn adjusted_significance(k: usize, p: f64, alpha: f64) -> f64 {
+fn adjusted_significance(k: usize, p: f64, alpha: f64) -> f64 {
     if k == 0 || p <= 0.0 || p >= 1.0 {
         return alpha;
     }
@@ -153,32 +139,6 @@ pub fn adjusted_significance(k: usize, p: f64, alpha: f64) -> f64 {
     lo
 }
 
-/// Does the top-`k` of `pi` pass the ranked group fairness test?
-pub fn ranked_group_fairness_test(
-    pi: &Permutation,
-    groups: &GroupAssignment,
-    protected: usize,
-    p: f64,
-    alpha: f64,
-) -> Result<bool> {
-    if pi.len() != groups.len() {
-        return Err(BaselineError::ShapeMismatch {
-            what: "ranking vs groups length",
-        });
-    }
-    let table = mtable(pi.len(), p, alpha);
-    let mut count = 0usize;
-    for (idx, &item) in pi.as_order().iter().enumerate() {
-        if groups.group_of(item) == protected {
-            count += 1;
-        }
-        if count < table[idx] {
-            return Ok(false);
-        }
-    }
-    Ok(true)
-}
-
 /// FA*IR configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct FaIrConfig {
@@ -186,7 +146,7 @@ pub struct FaIrConfig {
     pub min_proportion: f64,
     /// Family-wise significance level `α`.
     pub significance: f64,
-    /// Apply the multiple-test correction ([`adjusted_significance`]).
+    /// Apply the multiple-test correction (`adjusted_significance`).
     pub adjust: bool,
 }
 
@@ -306,6 +266,46 @@ pub fn fa_ir(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Minimum number of protected candidates required at prefix length `i`:
+    /// the smallest `m` with `F_binom(m; i, p) > α`.
+    fn minimum_protected(i: usize, p: f64, alpha: f64) -> usize {
+        // m is nondecreasing in i and bounded by ⌈p·i⌉; linear scan is cheap.
+        let mut m = 0usize;
+        while m <= i {
+            if binomial_cdf(m, i, p) > alpha {
+                return m;
+            }
+            m += 1;
+        }
+        i
+    }
+
+    /// Does the top-`k` of `pi` pass the ranked group fairness test?
+    fn ranked_group_fairness_test(
+        pi: &Permutation,
+        groups: &GroupAssignment,
+        protected: usize,
+        p: f64,
+        alpha: f64,
+    ) -> Result<bool> {
+        if pi.len() != groups.len() {
+            return Err(BaselineError::ShapeMismatch {
+                what: "ranking vs groups length",
+            });
+        }
+        let table = mtable(pi.len(), p, alpha);
+        let mut count = 0usize;
+        for (idx, &item) in pi.as_order().iter().enumerate() {
+            if groups.group_of(item) == protected {
+                count += 1;
+            }
+            if count < table[idx] {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
 
     fn groups_from(bits: &[usize]) -> GroupAssignment {
         GroupAssignment::new(bits.to_vec(), 2).unwrap()

@@ -1,6 +1,6 @@
 //! Baseline fair-ranking post-processors the paper compares against.
 //!
-//! * [`weakly_fair`] — constructs the weakly-P-fair, score-ordered input
+//! * [`weakly_fair_ranking`] — constructs the weakly-P-fair, score-ordered input
 //!   ranking that every algorithm in the paper's Section V-C consumes;
 //! * [`mod@det_const_sort`] — DetConstSort (Geyik et al., KDD'19 /
 //!   LinkedIn), with the paper's noisy `tempMinCounts` variant;
@@ -8,9 +8,9 @@
 //!   minimum-footrule P-fair re-ranking via min-weight bipartite
 //!   matching with per-(group, rank) position windows, with the paper's
 //!   noisy-weight variant;
-//! * [`gr_binary`] — GrBinaryIPF: the mergesort-inspired exact
+//! * [`gr_binary_ipf`] — GrBinaryIPF: the mergesort-inspired exact
 //!   Kendall-tau algorithm for two protected groups;
-//! * [`multi_kt`] — the `n^{O(g)}` exact minimum-Kendall-tau fair
+//! * [`optimal_fair_ranking_kt`] — the `n^{O(g)}` exact minimum-Kendall-tau fair
 //!   ranking for any number of groups (Chakraborty et al., Thm. 3.4);
 //! * [`ilp_ranking`] — the paper's ILP (Section IV-B): DCG-optimal
 //!   `(α⃗, β⃗)`-fair ranking, solved exactly by a dynamic program over
@@ -23,12 +23,12 @@
 pub mod brute;
 pub mod det_const_sort;
 pub mod fa_ir;
-pub mod gr_binary;
+mod gr_binary;
 pub mod ilp_ranking;
 pub mod ipf;
-pub mod multi_kt;
+mod multi_kt;
 pub mod top_k;
-pub mod weakly_fair;
+mod weakly_fair;
 
 pub use det_const_sort::{det_const_sort, DetConstSortConfig};
 pub use fa_ir::{fa_ir, FaIrConfig};
@@ -36,7 +36,7 @@ pub use gr_binary::gr_binary_ipf;
 pub use ilp_ranking::{noisy_tables, optimal_fair_ranking_dp, optimal_fair_ranking_ilp};
 pub use ipf::{approx_multi_valued_ipf, IpfConfig, IpfOutput};
 pub use multi_kt::optimal_fair_ranking_kt;
-pub use top_k::{fair_top_k, fair_top_k_ranking, FairnessMode};
+pub use top_k::{fair_top_k, FairnessMode};
 pub use weakly_fair::{weakly_fair_from_order, weakly_fair_ranking};
 
 /// Errors raised by the baseline algorithms.

@@ -16,7 +16,6 @@
 use crate::{BaselineError, Result};
 use fairness_metrics::{FairnessBounds, GroupAssignment};
 use ranking_core::quality::Discount;
-use ranking_core::Permutation;
 use std::collections::BTreeMap;
 
 /// Which prefixes of the shortlist must satisfy the bounds.
@@ -147,35 +146,10 @@ pub fn fair_top_k(
     Ok(out)
 }
 
-/// Convenience: full fair ranking of the shortlist padded with the
-/// remaining items by descending score (useful when downstream expects
-/// a complete permutation but only the top-`k` is constrained).
-pub fn fair_top_k_ranking(
-    scores: &[f64],
-    groups: &GroupAssignment,
-    bounds: &FairnessBounds,
-    k: usize,
-    mode: FairnessMode,
-    discount: Discount,
-) -> Result<Permutation> {
-    let head = fair_top_k(scores, groups, bounds, k, mode, discount)?;
-    let chosen: std::collections::BTreeSet<usize> = head.iter().copied().collect();
-    let mut rest: Vec<usize> = (0..scores.len()).filter(|i| !chosen.contains(i)).collect();
-    rest.sort_by(|&a, &b| {
-        scores[b]
-            .partial_cmp(&scores[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    let mut order = head;
-    order.extend(rest);
-    Ok(Permutation::from_order_unchecked(order))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fairness_metrics::pfair;
+    use ranking_core::Permutation;
 
     fn setup() -> (Vec<f64>, GroupAssignment, FairnessBounds) {
         // group 0 (items 0..5) dominates the scores
@@ -364,22 +338,6 @@ mod tests {
             ),
             Err(BaselineError::ShapeMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn padded_ranking_is_weakly_fair_and_complete() {
-        let (scores, groups, bounds) = setup();
-        let pi = fair_top_k_ranking(
-            &scores,
-            &groups,
-            &bounds,
-            4,
-            FairnessMode::Weak,
-            Discount::Log2,
-        )
-        .unwrap();
-        assert_eq!(pi.len(), 10);
-        assert!(pfair::is_weak_k_fair(&pi, &groups, &bounds, 4).unwrap());
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub fn bench_rng() -> StdRng {
 }
 
 /// The synthetic German Credit dataset, generated once per bench.
-pub fn credit_data() -> GermanCredit {
+fn credit_data() -> GermanCredit {
     GermanCredit::generate(&mut bench_rng())
 }
 

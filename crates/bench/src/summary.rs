@@ -75,7 +75,7 @@ pub fn latest_metric_keys(text: &str) -> Result<Vec<String>, String> {
 }
 
 /// The workspace root (this crate lives at `crates/bench`).
-pub fn workspace_root() -> PathBuf {
+fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
 }
 
@@ -102,7 +102,7 @@ pub fn record(bench: &str, metrics: &[(&str, f64)]) {
 
 /// The machine and checkout a record was measured on.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Host {
+struct Host {
     /// CPUs available to the process.
     pub cpus: usize,
     /// `git describe --always --dirty` of the workspace (letters,
@@ -112,7 +112,7 @@ pub struct Host {
 
 impl Host {
     /// This process's CPU count and the workspace's commit.
-    pub fn detect() -> Host {
+    fn detect() -> Host {
         let commit = std::process::Command::new("git")
             .args(["describe", "--always", "--dirty"])
             .current_dir(workspace_root())
@@ -139,7 +139,7 @@ impl Host {
 /// missing. The append is textual (the trailing `]` is replaced) so
 /// existing records are preserved byte-for-byte and diffs stay
 /// one-record-sized.
-pub fn append_to_file(
+fn append_to_file(
     path: &Path,
     bench: &str,
     date: &str,
@@ -272,7 +272,7 @@ fn is_civil_date(s: &str) -> bool {
 /// Today's UTC date as `YYYY-MM-DD`, from the system clock alone (no
 /// chrono): days since the epoch, converted with the standard civil
 /// calendar algorithm.
-pub fn today_utc() -> String {
+fn today_utc() -> String {
     let days = SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map_or(0, |d| (d.as_secs() / 86_400) as i64);

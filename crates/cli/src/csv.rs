@@ -59,7 +59,7 @@ pub struct CandidateTable {
 
 impl CandidateTable {
     /// Parse candidate CSV content held in memory (see module docs).
-    /// [`CandidateTable::from_reader`] streams instead.
+    /// `CandidateTable::from_reader` streams instead.
     pub fn parse(content: &str) -> Result<Self> {
         Self::from_reader(content.as_bytes())
     }
@@ -67,7 +67,7 @@ impl CandidateTable {
     /// Stream candidate CSV from any buffered reader: rows are decoded
     /// in bounded typed batches, so peak memory is the parsed columns,
     /// never the raw file.
-    pub fn from_reader<R: BufRead>(src: R) -> Result<Self> {
+    fn from_reader<R: BufRead>(src: R) -> Result<Self> {
         let mut reader = cli_dialect().reader(src);
         let mut decoder = BatchDecoder::new(Self::schema().to_vec()).sniff_header(true);
         let mut builder = TableBuilder::default();
@@ -83,7 +83,7 @@ impl CandidateTable {
     /// Assemble a table from already-decoded batches (the indexed
     /// parallel ingest path) — identical to [`Self::from_reader`] on
     /// the same rows.
-    pub fn from_batches(batches: Vec<RecordBatch>) -> Result<Self> {
+    fn from_batches(batches: Vec<RecordBatch>) -> Result<Self> {
         let mut builder = TableBuilder::default();
         for batch in batches {
             builder.push_batch(batch);
@@ -351,7 +351,7 @@ impl VoteProfile {
 
     /// Stream a vote profile from any buffered reader, one ranking at
     /// a time.
-    pub fn from_reader<R: BufRead>(src: R) -> Result<Self> {
+    fn from_reader<R: BufRead>(src: R) -> Result<Self> {
         let mut reader = cli_dialect().reader(src);
         let mut labels: Vec<String> = Vec::new();
         let mut votes = Vec::new();

@@ -7,7 +7,8 @@
 //! command: the dataset is generated (or **streamed** from disk via
 //! the shared `fairrank_dataset` reader — Statlog `german.data` or the
 //! workspace's `age,sex,housing,credit_amount` CSV), every
-//! (size, repetition, algorithm) cell becomes a [`RankJob`] chunk, and
+//! (size, repetition, algorithm) cell becomes a
+//! [`RankJob`](fairrank_engine::job::RankJob) chunk, and
 //! the whole sweep is submitted through [`Engine::submit_batch`] — the
 //! exact subsystem behind `POST /jobs` — then summarized per size and
 //! algorithm.

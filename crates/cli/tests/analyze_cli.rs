@@ -52,7 +52,8 @@ impl Drop for Workdir {
 }
 
 /// A one-member workspace whose sole crate root is missing
-/// `#![forbid(unsafe_code)]` and holds an undocumented `unsafe`.
+/// `#![forbid(unsafe_code)]` and holds an undocumented `unsafe`. An
+/// integration test calls its `pub fn`, so UNREACHED_PUB stays quiet.
 fn violating_workspace(wrk: &Workdir) {
     wrk.create("Cargo.toml", "[workspace]\nmembers = [\"app\"]\n");
     wrk.create(
@@ -64,6 +65,10 @@ fn violating_workspace(wrk: &Workdir) {
         r#"extern "C" { fn getpid() -> i32; }
 pub fn pid() -> i32 { unsafe { getpid() } }
 "#,
+    );
+    wrk.create(
+        "app/tests/pid.rs",
+        "#[test]\nfn positive() { assert!(app::pid() > 0); }\n",
     );
 }
 

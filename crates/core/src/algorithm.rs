@@ -497,14 +497,6 @@ impl MallowsFairRanker {
             samples_abandoned: abandoned,
         })
     }
-
-    /// Convenience: build the quality-sorted centre from scores and run
-    /// Algorithm 1 in one call (the paper's
-    /// `find_central_permutation(S)` for the score-only setting).
-    pub fn rank_scores<R: Rng + ?Sized>(&self, scores: &[f64], rng: &mut R) -> Result<RankOutput> {
-        let center = Permutation::sorted_by_scores_desc(scores);
-        self.rank(&center, rng)
-    }
 }
 
 /// The evaluate stage: everything the selection keeps between samples.
@@ -743,16 +735,6 @@ mod tests {
             r.rank(&Permutation::identity(4), &mut rng),
             Err(FairMallowsError::CriterionShape { .. })
         ));
-    }
-
-    #[test]
-    fn rank_scores_uses_quality_sorted_center() {
-        let s = vec![0.1, 0.9, 0.5];
-        // θ huge → sample equals centre
-        let r = MallowsFairRanker::new(25.0, 1, Criterion::FirstSample).unwrap();
-        let mut rng = StdRng::seed_from_u64(7);
-        let out = r.rank_scores(&s, &mut rng).unwrap();
-        assert_eq!(out.ranking.as_order(), &[1, 2, 0]);
     }
 
     #[test]

@@ -37,12 +37,10 @@ mod algorithm;
 mod kernel;
 pub mod noise;
 pub mod oblivious;
-pub mod tune;
 
 pub use algorithm::{Criterion, MallowsFairRanker, RankOutput, PIPELINE_MIN_N};
 pub use kernel::Precomputed;
 pub use noise::{CenteredPlackettLuce, GenericFairRanker, NoiseModel};
-pub use tune::{expected_ndcg, theta_for_target_ndcg, NdcgCalibration};
 
 /// Errors raised by the Mallows fair ranker.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,6 +110,5 @@ const _: () = {
     assert_send_sync::<mallows_model::MallowsModel>();
     assert_send_sync::<mallows_model::SamplerTables>();
     assert_send_sync::<mallows_model::RimSampler>();
-    assert_send_sync::<NdcgCalibration>();
     assert_send_sync::<FairMallowsError>();
 };

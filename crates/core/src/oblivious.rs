@@ -30,8 +30,6 @@ enum Dispersion {
 #[derive(Debug, Clone)]
 pub struct RobustRankerBuilder {
     dispersion: Dispersion,
-    num_samples: usize,
-    keep_best_ndcg: bool,
 }
 
 impl Default for RobustRankerBuilder {
@@ -39,8 +37,6 @@ impl Default for RobustRankerBuilder {
         // paper defaults: θ = 1, single sample
         RobustRankerBuilder {
             dispersion: Dispersion::Fixed(1.0),
-            num_samples: 1,
-            keep_best_ndcg: false,
         }
     }
 }
@@ -65,27 +61,10 @@ impl RobustRankerBuilder {
         self
     }
 
-    /// Draw `m` samples and keep the best by NDCG (requires scores at
-    /// ranking time). With `m = 1` this is the paper's plain
-    /// randomization.
-    pub fn samples(mut self, m: usize) -> Self {
-        self.num_samples = m.max(1);
-        self
-    }
-
-    /// Whether to select the best-NDCG sample (otherwise the first
-    /// sample is kept).
-    pub fn keep_best_ndcg(mut self, yes: bool) -> Self {
-        self.keep_best_ndcg = yes;
-        self
-    }
-
     /// Finalize.
     pub fn build(self) -> RobustRanker {
         RobustRanker {
             dispersion: self.dispersion,
-            num_samples: self.num_samples,
-            keep_best_ndcg: self.keep_best_ndcg,
         }
     }
 }
@@ -94,8 +73,6 @@ impl RobustRankerBuilder {
 #[derive(Debug, Clone)]
 pub struct RobustRanker {
     dispersion: Dispersion,
-    num_samples: usize,
-    keep_best_ndcg: bool,
 }
 
 impl RobustRanker {
@@ -118,25 +95,8 @@ impl RobustRanker {
     /// no protected attribute enters the computation.
     pub fn rank<R: Rng + ?Sized>(&self, scores: &[f64], rng: &mut R) -> Result<RankOutput> {
         let center = Permutation::sorted_by_scores_desc(scores);
-        self.rerank(&center, scores, rng)
-    }
-
-    /// Randomize an existing ranking (e.g. one produced upstream by a
-    /// learning-to-rank model). Scores are used only when
-    /// `keep_best_ndcg` is set.
-    pub fn rerank<R: Rng + ?Sized>(
-        &self,
-        center: &Permutation,
-        scores: &[f64],
-        rng: &mut R,
-    ) -> Result<RankOutput> {
         let theta = self.resolve_theta(center.len());
-        let criterion = if self.keep_best_ndcg {
-            Criterion::MaxNdcg(scores.to_vec())
-        } else {
-            Criterion::FirstSample
-        };
-        MallowsFairRanker::new(theta, self.num_samples, criterion)?.rank(center, rng)
+        MallowsFairRanker::new(theta, 1, Criterion::FirstSample)?.rank(&center, rng)
     }
 }
 
@@ -146,13 +106,11 @@ mod tests {
     use fairness_metrics::{infeasible, FairnessBounds, GroupAssignment};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use ranking_core::quality;
 
     #[test]
     fn builder_defaults_match_paper() {
         let r = RobustRanker::builder().build();
         assert_eq!(r.resolve_theta(10), 1.0);
-        assert_eq!(r.num_samples, 1);
     }
 
     #[test]
@@ -199,27 +157,6 @@ mod tests {
             mean_ii < base_ii as f64 * 0.8,
             "mean II {mean_ii} not meaningfully below baseline {base_ii}"
         );
-    }
-
-    #[test]
-    fn best_ndcg_variant_trades_less_utility() {
-        let scores: Vec<f64> = (0..15).map(|i| 15.0 - i as f64).collect();
-        let single = RobustRanker::builder().theta(0.5).samples(1).build();
-        let best = RobustRanker::builder()
-            .theta(0.5)
-            .samples(15)
-            .keep_best_ndcg(true)
-            .build();
-        let mut rng = StdRng::seed_from_u64(3);
-        let trials = 30;
-        let (mut n_single, mut n_best) = (0.0, 0.0);
-        for _ in 0..trials {
-            let a = single.rank(&scores, &mut rng).unwrap();
-            let b = best.rank(&scores, &mut rng).unwrap();
-            n_single += quality::ndcg(&a.ranking, &scores).unwrap();
-            n_best += quality::ndcg(&b.ranking, &scores).unwrap();
-        }
-        assert!(n_best > n_single);
     }
 
     #[test]

@@ -56,11 +56,6 @@ impl DictColumn {
         &self.codes
     }
 
-    /// The label of row `row` (panics when out of range).
-    pub fn label_of(&self, row: usize) -> &str {
-        &self.labels[self.codes[row] as usize]
-    }
-
     /// Decompose into `(labels, codes)`.
     pub fn into_parts(self) -> (Vec<String>, Vec<u32>) {
         (self.labels, self.codes)
@@ -165,14 +160,6 @@ impl Column {
         }
     }
 
-    /// Take ownership of an integer column.
-    pub fn into_usize(self) -> Option<Vec<usize>> {
-        match self {
-            Column::USize(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Take ownership of a dictionary-encoded column.
     pub fn into_category(self) -> Option<DictColumn> {
         match self {
@@ -215,11 +202,6 @@ impl RecordBatch {
     /// 1-based line number of the batch's first record.
     pub fn first_line(&self) -> u64 {
         self.lines.first().copied().unwrap_or(0)
-    }
-
-    /// 1-based line number of the batch's last record.
-    pub fn last_line(&self) -> u64 {
-        self.lines.last().copied().unwrap_or(0)
     }
 
     /// Decompose into owned columns and per-row line numbers, so
@@ -331,7 +313,6 @@ mod tests {
         let first = decoder.read_batch(&mut reader, 2).unwrap().unwrap();
         assert_eq!(first.rows(), 2);
         assert_eq!(first.first_line(), 1);
-        assert_eq!(first.last_line(), 2);
         assert_eq!(first.column(0).as_str().unwrap(), &["a", "b"]);
         assert_eq!(first.column(1).as_f64().unwrap(), &[1.5, 2.5]);
         assert_eq!(first.column(2).as_usize().unwrap(), &[3, 4]);
@@ -381,7 +362,6 @@ mod tests {
         let dict = batch.column(1).as_category().unwrap();
         assert_eq!(dict.labels(), &["g1", "g0", "g2"]);
         assert_eq!(dict.codes(), &[0, 1, 0, 0, 2]);
-        assert_eq!(dict.label_of(4), "g2");
         assert_eq!(batch.column(1).len(), 5);
         let (labels, codes) = batch
             .into_parts()

@@ -73,7 +73,7 @@ impl Dialect {
 /// * CRLF and bare-LF line endings;
 /// * blank lines and (optionally) comment lines, skipped;
 /// * a whitespace-merging mode for space-aligned files such as UCI
-///   Statlog (`delimiter(b' ')` + `merge_delimiters(true)`), where
+///   Statlog ([`Dialect::space_separated`]), where
 ///   runs of the delimiter separate fields and empty fields are
 ///   dropped;
 /// * unquoted fields trimmed of surrounding ASCII whitespace (the
@@ -125,7 +125,7 @@ impl<R: BufRead> CsvReader<R> {
     }
 
     /// A reader with an explicit [`Dialect`].
-    pub fn with_dialect(src: R, dialect: Dialect) -> Self {
+    fn with_dialect(src: R, dialect: Dialect) -> Self {
         CsvReader {
             src,
             dialect,
@@ -158,13 +158,6 @@ impl<R: BufRead> CsvReader<R> {
     /// Skip lines whose first non-blank byte is `comment`.
     pub fn comment(mut self, comment: u8) -> Self {
         self.dialect.comment = Some(comment);
-        self
-    }
-
-    /// Treat runs of the delimiter as one separator and drop empty
-    /// unquoted fields (for whitespace-aligned files).
-    pub fn merge_delimiters(mut self, merge: bool) -> Self {
-        self.dialect.merge = merge;
         self
     }
 
@@ -535,7 +528,7 @@ impl<'a> StrRecord<'a> {
     }
 
     /// A [`CsvErrorKind::Parse`] error pinned to this record's line.
-    pub fn parse_error(&self, index: usize, expected: &str, value: &str) -> CsvError {
+    fn parse_error(&self, index: usize, expected: &str, value: &str) -> CsvError {
         let mut value = value.to_string();
         value.truncate(64);
         CsvError {
@@ -721,12 +714,11 @@ mod tests {
         let r = CsvReader::new("".as_bytes())
             .delimiter(b';')
             .comment(b'%')
-            .merge_delimiters(true)
             .trim(false);
         let d = r.dialect();
         assert_eq!(d.delimiter, b';');
         assert_eq!(d.comment, Some(b'%'));
-        assert!(d.merge);
+        assert!(!d.merge);
         assert!(!d.trim);
         let s = Dialect::space_separated();
         assert_eq!(s.delimiter, b' ');

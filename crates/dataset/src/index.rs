@@ -78,7 +78,7 @@ pub fn sidecar_path(path: &str) -> PathBuf {
 /// header: `(byte_len, fnv1a(first 4 KiB ++ last 4 KiB))`. Reading two
 /// bounded spans keeps the freshness check O(1) in the file size;
 /// `docs/DATASET.md` spells out what that does and does not catch.
-pub fn source_signature(path: &str) -> Result<(u64, u64)> {
+fn source_signature(path: &str) -> Result<(u64, u64)> {
     let mut file = File::open(path).map_err(|e| io_error(path, &e))?;
     let len = file.metadata().map_err(|e| io_error(path, &e))?.len();
     let mut hasher = Fnv1a::new();
@@ -282,15 +282,6 @@ impl IndexedCsv {
         })
     }
 
-    /// Wrap an already-validated index (used by `fairrank index`
-    /// straight after building, skipping the re-validation).
-    pub fn from_parts(path: &str, index: CsvIndex) -> IndexedCsv {
-        IndexedCsv {
-            path: path.to_string(),
-            index,
-        }
-    }
-
     /// The indexed source path.
     pub fn path(&self) -> &str {
         &self.path
@@ -363,7 +354,7 @@ impl IndexedCsv {
     /// each, last one short). This is what the parallel drivers use:
     /// the boundaries depend only on the data, never on the thread
     /// count, which is what makes their output thread-count-invariant.
-    pub fn chunks_of(&self, size: usize) -> Vec<Chunk> {
+    fn chunks_of(&self, size: usize) -> Vec<Chunk> {
         let size = size.max(1);
         (0..self.record_count())
             .step_by(size)
@@ -486,7 +477,7 @@ impl RecordSource for ChunkReader {
 }
 
 /// Resolve a `--jobs` value: 0 means one job per available CPU.
-pub fn effective_jobs(jobs: usize) -> usize {
+fn effective_jobs(jobs: usize) -> usize {
     if jobs == 0 {
         std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
     } else {

@@ -12,10 +12,9 @@
 use crate::{DatasetError, Result};
 use eval_stats::NormalSampler;
 use fairness_metrics::GroupAssignment;
-use fairrank_dataset::{ingest_batches, BatchDecoder, CsvReader, Dialect, FieldType, RecordBatch};
+use fairrank_dataset::{ingest_batches, Dialect, FieldType, RecordBatch};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::io::BufRead;
 
 /// Age bucket of the paper's combined attribute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -48,7 +47,7 @@ pub enum Housing {
 
 impl Housing {
     /// Dense group id (0 = free, 1 = own, 2 = rent).
-    pub fn group_id(self) -> usize {
+    fn group_id(self) -> usize {
         match self {
             Housing::Free => 0,
             Housing::Own => 1,
@@ -73,7 +72,7 @@ pub struct Record {
 impl Record {
     /// Combined Sex-Age group id, ordered as Table I's rows:
     /// 0 = `<35 female`, 1 = `<35 male`, 2 = `≥35 female`, 3 = `≥35 male`.
-    pub fn sex_age_group(&self) -> usize {
+    fn sex_age_group(&self) -> usize {
         match (self.age, self.sex) {
             (AgeGroup::Under35, Sex::Female) => 0,
             (AgeGroup::Under35, Sex::Male) => 1,
@@ -199,8 +198,8 @@ impl GermanCredit {
     }
 
     /// Render the records as `age,sex,housing,credit_amount` CSV (the
-    /// workspace's interchange form; [`GermanCredit::read_csv`] streams
-    /// it back).
+    /// workspace's interchange form; [`GermanCredit::load_csv_with_jobs`]
+    /// reads it back).
     pub fn to_csv(&self) -> String {
         let mut out = String::from("age,sex,housing,credit_amount\n");
         for r in &self.records {
@@ -326,27 +325,6 @@ impl GermanCredit {
         Ok(GermanCredit { records })
     }
 
-    /// Stream `age,sex,housing,credit_amount` CSV back into a dataset
-    /// through the shared typed-batch decoder — bounded memory, exact
-    /// per-line errors, header row optional.
-    pub fn read_csv<R: BufRead>(src: R) -> Result<GermanCredit> {
-        let mut reader = CsvReader::new(src).comment(b'#');
-        let mut decoder = BatchDecoder::new(Self::csv_schema().to_vec()).sniff_header(true);
-        let mut records = Vec::new();
-        let mut any = false;
-        while let Some(batch) = decoder.read_batch(&mut reader, 4096)? {
-            any = true;
-            Self::records_from_batch(&batch, &mut records)?;
-        }
-        if !any || records.is_empty() {
-            return Err(DatasetError::Malformed {
-                line: 0,
-                what: "no records found",
-            });
-        }
-        Ok(GermanCredit { records })
-    }
-
     /// Load the interchange CSV from disk. With a fresh `.frix`
     /// sidecar (see `fairrank index`) the file is decoded
     /// chunk-parallel on up to `jobs` threads (0 = one per CPU);
@@ -357,20 +335,36 @@ impl GermanCredit {
         let batches = ingest_batches(path, dialect, &Self::csv_schema(), true, jobs)?;
         Self::from_record_batches(&batches)
     }
-
-    /// Load the interchange CSV from disk (auto-detects a sidecar
-    /// index; equivalent to [`GermanCredit::load_csv_with_jobs`] with
-    /// `jobs = 0`).
-    pub fn load_csv(path: &str) -> Result<GermanCredit> {
-        GermanCredit::load_csv_with_jobs(path, 0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fairrank_dataset::{BatchDecoder, CsvReader};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::io::BufRead;
+
+    /// Stream `age,sex,housing,credit_amount` CSV back into a dataset
+    /// through the shared typed-batch decoder — bounded memory, exact
+    /// per-line errors, header row optional.
+    fn read_csv<R: BufRead>(src: R) -> Result<GermanCredit> {
+        let mut reader = CsvReader::new(src).comment(b'#');
+        let mut decoder = BatchDecoder::new(GermanCredit::csv_schema().to_vec()).sniff_header(true);
+        let mut records = Vec::new();
+        let mut any = false;
+        while let Some(batch) = decoder.read_batch(&mut reader, 4096)? {
+            any = true;
+            GermanCredit::records_from_batch(&batch, &mut records)?;
+        }
+        if !any || records.is_empty() {
+            return Err(DatasetError::Malformed {
+                line: 0,
+                what: "no records found",
+            });
+        }
+        Ok(GermanCredit { records })
+    }
 
     fn data(seed: u64) -> GermanCredit {
         GermanCredit::generate(&mut StdRng::seed_from_u64(seed))
@@ -449,7 +443,7 @@ mod tests {
         let d = data(15);
         let csv = d.to_csv();
         assert!(csv.starts_with("age,sex,housing,credit_amount\n"));
-        let back = GermanCredit::read_csv(csv.as_bytes()).unwrap();
+        let back = read_csv(csv.as_bytes()).unwrap();
         assert_eq!(back.len(), d.len());
         assert_eq!(back.table_i(), d.table_i());
         for (a, b) in d.records().iter().zip(back.records()) {
@@ -462,13 +456,13 @@ mod tests {
     #[test]
     fn csv_reader_rejects_bad_rows_with_line_numbers() {
         let bad = "age,sex,housing,credit_amount\nunder35,female,own,100\nunder35,alien,own,5\n";
-        let err = GermanCredit::read_csv(bad.as_bytes()).unwrap_err();
+        let err = read_csv(bad.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("line 3"), "{err}");
         let bad_amount = "under35,female,own,100\nunder35,female,own,not-a-number\n";
-        let err = GermanCredit::read_csv(bad_amount.as_bytes()).unwrap_err();
+        let err = read_csv(bad_amount.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("line 2"), "{err}");
-        assert!(GermanCredit::read_csv(b"" as &[u8]).is_err());
-        assert!(GermanCredit::load_csv("/nonexistent.csv").is_err());
+        assert!(read_csv(b"" as &[u8]).is_err());
+        assert!(GermanCredit::load_csv_with_jobs("/nonexistent.csv", 0).is_err());
     }
 
     #[test]

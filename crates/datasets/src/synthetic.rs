@@ -37,7 +37,7 @@ impl TwoGroupUniform {
     }
 
     /// Draw one score vector.
-    pub fn sample_scores<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
+    fn sample_scores<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
         let n = self.per_group;
         (0..2 * n)
             .map(|i| {

@@ -83,19 +83,13 @@ fn finish(records: Vec<Record>) -> Result<GermanCredit> {
 
 /// Parse a Statlog `german.data` stream record by record — memory is
 /// bounded by one line, not the file.
-pub fn read_statlog<R: BufRead>(src: R) -> Result<GermanCredit> {
+fn read_statlog<R: BufRead>(src: R) -> Result<GermanCredit> {
     let mut reader = CsvReader::space_separated(src);
     let mut records = Vec::new();
     while let Some(fields) = reader.read_record()? {
         records.push(statlog_record(&fields)?);
     }
     finish(records)
-}
-
-/// Parse the contents of a Statlog `german.data` file already held in
-/// memory (tests and small inputs; [`read_statlog`] streams).
-pub fn parse_statlog(content: &str) -> Result<GermanCredit> {
-    read_statlog(content.as_bytes())
 }
 
 /// Read and parse a Statlog file from disk. With a fresh `.frix`
@@ -128,27 +122,15 @@ pub fn load_statlog_with_jobs(path: &str, jobs: usize) -> Result<GermanCredit> {
     finish(records)
 }
 
-/// Read and parse a Statlog file from disk (auto-detects a sidecar
-/// index; equivalent to [`load_statlog_with_jobs`] with `jobs = 0`).
-pub fn load_statlog(path: &str) -> Result<GermanCredit> {
-    load_statlog_with_jobs(path, 0)
-}
-
-/// Load the real file when available, otherwise generate the synthetic
-/// stand-in — the recommended entry point for experiment binaries.
-pub fn load_or_generate<R: rand::Rng + ?Sized>(
-    path: Option<&str>,
-    rng: &mut R,
-) -> Result<GermanCredit> {
-    match path {
-        Some(p) => load_statlog(p),
-        None => Ok(GermanCredit::generate(rng)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Parse the contents of a Statlog `german.data` file held in
+    /// memory.
+    fn parse_statlog(content: &str) -> Result<GermanCredit> {
+        read_statlog(content.as_bytes())
+    }
 
     // Six syntactically faithful Statlog lines (field values shortened to
     // the ones the loader reads; remaining fields are placeholders).
@@ -212,15 +194,5 @@ A12 36 A32 A46 9055 A65 A73 2 A91 A101 4 A124 35 A143 A151 2 A172 2 A192 A201 1"
         assert!(parse_statlog(&bad_amount).is_err());
         let bad_housing = SAMPLE.replacen("A143 A152 2 A173 1 A192", "A143 A999 2 A173 1 A192", 1);
         assert!(parse_statlog(&bad_housing).is_err());
-    }
-
-    #[test]
-    fn load_or_generate_falls_back_to_synthetic() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(1);
-        let data = load_or_generate(None, &mut rng).unwrap();
-        assert_eq!(data.len(), 1000);
-        assert!(load_or_generate(Some("/nonexistent/german.data"), &mut rng).is_err());
     }
 }

@@ -158,20 +158,9 @@ impl BatchJob {
         self.id
     }
 
-    /// Trace ID of the request that submitted this job (0 when the
-    /// job was submitted outside a traced request).
-    pub fn parent_trace(&self) -> u64 {
-        self.parent_trace
-    }
-
-    /// Chunks in the batch.
-    pub fn chunks_total(&self) -> usize {
-        self.chunks.len()
-    }
-
     /// True once cancellation was requested (the runner honors it at
     /// the next chunk boundary).
-    pub fn cancel_requested(&self) -> bool {
+    fn cancel_requested(&self) -> bool {
         self.cancel.load(Ordering::Relaxed)
     }
 

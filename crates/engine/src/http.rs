@@ -12,7 +12,7 @@
 //! * repeated `Content-Length` headers with identical values are
 //!   tolerated, conflicting ones are rejected (the request-smuggling
 //!   ambiguity);
-//! * a head is at most [`MAX_HEAD`] bytes and [`MAX_HEADERS`] header
+//! * a head is at most `MAX_HEAD` bytes and [`MAX_HEADERS`] header
 //!   lines, a request body at most [`MAX_BODY`] bytes (response bodies
 //!   are uncapped: a legitimate answer may outgrow its request);
 //! * `Connection` is a comma-separated token list; HTTP/1.1 defaults to
@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Largest accepted head (request or status line plus headers).
-pub const MAX_HEAD: usize = 16 << 10;
+const MAX_HEAD: usize = 16 << 10;
 /// Largest accepted header count — with the byte cap this bounds both
 /// dimensions a slow-header peer could grow.
 pub const MAX_HEADERS: usize = 128;

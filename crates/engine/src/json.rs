@@ -6,15 +6,14 @@
 //! (insertion-ordered, which keeps responses and job digests stable),
 //! booleans and null.
 //!
-//! Two parser front-ends share the grammar:
-//!
-//! * [`Json::parse`] builds an owned tree of `String`s and `Vec`s —
-//!   convenient for building responses and for tests;
-//! * [`JsonArena::parse`] parses into a caller-owned arena of flat
-//!   nodes plus one shared text buffer. Re-parsing into a warm arena
-//!   performs **zero heap allocations** (all buffers retain their
-//!   capacity), which is what the keep-alive HTTP workers use on their
-//!   per-request hot path.
+//! There is one parser, [`JsonArena::parse`]: it parses into a
+//! caller-owned arena of flat nodes plus one shared text buffer.
+//! Re-parsing into a warm arena performs **zero heap allocations**
+//! (all buffers retain their capacity), which is what the keep-alive
+//! HTTP workers use on their per-request hot path. [`Json::parse`]
+//! runs it and copies the result into an owned tree of `String`s and
+//! `Vec`s, which is convenient for tests and tools. Containers nest at
+//! most 128 deep (`MAX_DEPTH`), so no body can exhaust a worker's stack.
 //!
 //! The serializer is likewise buffer-reusing: [`Json::write_into`]
 //! appends to a caller-provided `String` instead of allocating one.
@@ -73,17 +72,7 @@ impl Json {
     /// Parse a complete JSON document (trailing whitespace allowed,
     /// trailing garbage rejected).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let bytes = input.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(JsonError {
-                message: "trailing characters".into(),
-                offset: pos,
-            });
-        }
-        Ok(value)
+        Ok(JsonArena::new().parse(input)?.to_json())
     }
 
     /// Serialize into `out` without allocating a fresh `String`
@@ -235,25 +224,6 @@ fn fail<T>(message: &str, pos: usize) -> Result<T, JsonError> {
     })
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => fail("unexpected end of input", *pos),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => {
-            let mut s = String::new();
-            parse_string_into(bytes, pos, &mut s)?;
-            Ok(Json::String(s))
-        }
-        Some(b't') => parse_literal(bytes, pos, "true").map(|()| Json::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false").map(|()| Json::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null").map(|()| Json::Null),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos),
-        Some(_) => fail("unexpected character", *pos),
-    }
-}
-
 fn parse_literal(bytes: &[u8], pos: &mut usize, literal: &str) -> Result<(), JsonError> {
     if bytes[*pos..].starts_with(literal.as_bytes()) {
         *pos += literal.len();
@@ -261,10 +231,6 @@ fn parse_literal(bytes: &[u8], pos: &mut usize, literal: &str) -> Result<(), Jso
     } else {
         fail("invalid literal", *pos)
     }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
-    parse_number_raw(bytes, pos).map(Json::Number)
 }
 
 fn parse_number_raw(bytes: &[u8], pos: &mut usize) -> Result<f64, JsonError> {
@@ -383,65 +349,12 @@ fn parse_string_into(bytes: &[u8], pos: &mut usize, out: &mut String) -> Result<
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
-    debug_assert_eq!(bytes[*pos], b'[');
-    *pos += 1;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Json::Array(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Array(items));
-            }
-            _ => return fail("expected `,` or `]`", *pos),
-        }
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
-    debug_assert_eq!(bytes[*pos], b'{');
-    *pos += 1;
-    let mut fields: Vec<(String, Json)> = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Json::Object(fields));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return fail("expected string key", *pos);
-        }
-        let mut key = String::new();
-        parse_string_into(bytes, pos, &mut key)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return fail("expected `:`", *pos);
-        }
-        *pos += 1;
-        let value = parse_value(bytes, pos)?;
-        fields.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Object(fields));
-            }
-            _ => return fail("expected `,` or `}`", *pos),
-        }
-    }
-}
-
 const NIL: u32 = u32::MAX;
+
+/// The deepest nesting of arrays and objects a document may have. The
+/// API's bodies nest about 4 deep; the cap keeps the recursive parser
+/// (and [`Json::parse`]'s copy) within a small, fixed stack.
+const MAX_DEPTH: usize = 128;
 
 /// Byte range into a [`JsonArena`]'s shared text buffer.
 #[derive(Debug, Clone, Copy)]
@@ -493,7 +406,7 @@ impl JsonArena {
         self.text.clear();
         let bytes = input.as_bytes();
         let mut pos = 0;
-        let root = self.parse_value(bytes, &mut pos)?;
+        let root = self.parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonError {
@@ -531,12 +444,19 @@ impl JsonArena {
         })
     }
 
-    fn parse_value(&mut self, bytes: &[u8], pos: &mut usize) -> Result<u32, JsonError> {
+    /// Parse one value; `depth` counts the containers around it.
+    fn parse_value(
+        &mut self,
+        bytes: &[u8],
+        pos: &mut usize,
+        depth: usize,
+    ) -> Result<u32, JsonError> {
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             None => fail("unexpected end of input", *pos),
-            Some(b'{') => self.parse_object(bytes, pos),
-            Some(b'[') => self.parse_array(bytes, pos),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => fail("nesting too deep", *pos),
+            Some(b'{') => self.parse_object(bytes, pos, depth + 1),
+            Some(b'[') => self.parse_array(bytes, pos, depth + 1),
             Some(b'"') => {
                 let span = self.parse_string_span(bytes, pos)?;
                 self.push(ArenaValue::String(span))
@@ -561,7 +481,12 @@ impl JsonArena {
         }
     }
 
-    fn parse_array(&mut self, bytes: &[u8], pos: &mut usize) -> Result<u32, JsonError> {
+    fn parse_array(
+        &mut self,
+        bytes: &[u8],
+        pos: &mut usize,
+        depth: usize,
+    ) -> Result<u32, JsonError> {
         debug_assert_eq!(bytes[*pos], b'[');
         *pos += 1;
         let node = self.push(ArenaValue::Array { first: NIL, len: 0 })?;
@@ -574,7 +499,7 @@ impl JsonArena {
         let mut prev = NIL;
         let mut len = 0u32;
         loop {
-            let child = self.parse_value(bytes, pos)?;
+            let child = self.parse_value(bytes, pos, depth)?;
             if first == NIL {
                 first = child;
             } else {
@@ -595,7 +520,12 @@ impl JsonArena {
         }
     }
 
-    fn parse_object(&mut self, bytes: &[u8], pos: &mut usize) -> Result<u32, JsonError> {
+    fn parse_object(
+        &mut self,
+        bytes: &[u8],
+        pos: &mut usize,
+        depth: usize,
+    ) -> Result<u32, JsonError> {
         debug_assert_eq!(bytes[*pos], b'{');
         *pos += 1;
         let node = self.push(ArenaValue::Object { first: NIL, len: 0 })?;
@@ -618,7 +548,7 @@ impl JsonArena {
                 return fail("expected `:`", *pos);
             }
             *pos += 1;
-            let child = self.parse_value(bytes, pos)?;
+            let child = self.parse_value(bytes, pos, depth)?;
             self.nodes[child as usize].key = key;
             if first == NIL {
                 first = child;
@@ -676,6 +606,30 @@ impl<'a> ValueRef<'a> {
         &self.arena.nodes[self.idx as usize]
     }
 
+    /// Copy this value into an owned [`Json`] tree. Recursion is
+    /// bounded by `MAX_DEPTH`.
+    fn to_json(self) -> Json {
+        let children = |first, len: u32| ArenaElements {
+            arena: self.arena,
+            next: first,
+            remaining: len as usize,
+        };
+        match self.node().value {
+            ArenaValue::Null => Json::Null,
+            ArenaValue::Bool(b) => Json::Bool(b),
+            ArenaValue::Number(x) => Json::Number(x),
+            ArenaValue::String(span) => Json::String(self.arena.span(span).to_string()),
+            ArenaValue::Array { first, len } => {
+                Json::Array(children(first, len).map(ValueRef::to_json).collect())
+            }
+            ArenaValue::Object { first, len } => Json::Object(
+                children(first, len)
+                    .map(|v| (self.arena.span(v.node().key).to_string(), v.to_json()))
+                    .collect(),
+            ),
+        }
+    }
+
     /// True for JSON objects.
     pub fn is_object(&self) -> bool {
         matches!(self.node().value, ArenaValue::Object { .. })
@@ -698,14 +652,6 @@ impl<'a> ValueRef<'a> {
             idx = node.next;
         }
         None
-    }
-
-    /// Boolean accessor.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self.node().value {
-            ArenaValue::Bool(b) => Some(b),
-            _ => None,
-        }
     }
 
     /// Number accessor.
@@ -953,8 +899,7 @@ mod tests {
             doc.get("deep").unwrap().get("k").unwrap().as_usize(),
             Some(3)
         );
-        assert_eq!(doc.get("flag").unwrap().as_bool(), Some(true));
-        assert_eq!(doc.get("deep").unwrap().as_bool(), None);
+        assert_eq!(doc.get("flag").unwrap().to_json(), Json::Bool(true));
         assert_eq!(doc.get("scores").unwrap().len(), 2);
         assert_eq!(doc.get("deep").unwrap().len(), 1);
         assert!(!doc.is_empty());
@@ -962,6 +907,26 @@ mod tests {
         assert!(doc.get("missing").is_none());
         assert_eq!(doc.get("scores").unwrap().as_str(), None);
         assert!(doc.get("nothing").unwrap().as_f64().is_none());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&objects).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            (err.message.as_str(), err.offset),
+            ("nesting too deep", MAX_DEPTH)
+        );
+        // far past the cap: a clean error, not a stack overflow
+        let mut arena = JsonArena::new();
+        let err = arena.parse(&"[".repeat(200_000)).err().unwrap();
+        assert_eq!(
+            (err.message.as_str(), err.offset),
+            ("nesting too deep", MAX_DEPTH)
+        );
     }
 
     #[test]

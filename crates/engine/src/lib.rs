@@ -352,11 +352,6 @@ impl Engine {
         &self.stats
     }
 
-    /// The cross-request sampler-table cache.
-    pub fn table_cache(&self) -> &Arc<TableCache> {
-        &self.exec.tables
-    }
-
     /// The asynchronous batch-job store.
     pub fn job_store(&self) -> &JobStore {
         &self.jobs
@@ -553,7 +548,7 @@ impl Engine {
             ),
             scalar(
                 "fairrank_rejected_connections_total",
-                "Connections shed with 503 + Retry-After",
+                "Connections shed with 503: with Retry-After when the backlog is full, without it while draining",
                 MetricValue::Counter(read(&s.rejected_connections)),
             ),
             MetricFamily {

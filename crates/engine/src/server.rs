@@ -47,7 +47,7 @@
 //! zero thread spawns. Jobs still funnel into the engine's bounded
 //! worker pool, which is where admission control happens.
 //!
-//! Each I/O worker owns a [`ConnScratch`]: a reusable
+//! Each I/O worker owns a `ConnScratch`: a reusable
 //! [`RequestReader`], JSON arena and response buffers. Framing (head
 //! parse, size caps, response framer) is the shared
 //! [`crate::http`] codec. After warm-up, a request performs

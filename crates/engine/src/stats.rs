@@ -6,7 +6,7 @@
 //!
 //! * [`LatencyHistogram`] — the lock-free log-scale histogram used for
 //!   the global, per-route and per-algorithm latency series, with
-//!   cumulative-bucket export ([`LatencyHistogram::cumulative_le`])
+//!   cumulative-bucket export (`LatencyHistogram::cumulative_le`)
 //!   for the Prometheus `_bucket{le=…}` convention;
 //! * [`EngineStats`] — the engine's counter block, including one
 //!   histogram per [`RouteClass`];
@@ -19,8 +19,8 @@
 
 use crate::batch::JobStore;
 use crate::json::Json;
+use crate::num;
 use crate::tables::TableCache;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -65,7 +65,7 @@ impl LatencyHistogram {
     }
 
     /// Sum of every recorded value, in microseconds.
-    pub fn sum_micros(&self) -> u64 {
+    fn sum_micros(&self) -> u64 {
         self.sum_micros.load(Ordering::Relaxed)
     }
 
@@ -77,7 +77,7 @@ impl LatencyHistogram {
     /// Approximate `q`-quantile (`0 < q ≤ 1`) in microseconds; 0 when
     /// nothing has been recorded. Accurate to the bucket resolution
     /// (≤ 12.5 % above 8 µs).
-    pub fn quantile_micros(&self, q: f64) -> u64 {
+    fn quantile_micros(&self, q: f64) -> u64 {
         let counts: Vec<u64> = self
             .buckets
             .iter()
@@ -106,7 +106,7 @@ impl LatencyHistogram {
     /// range, so bounds of the form `2^k - 1` (the [`LATENCY_LE_US`]
     /// defaults) are **exact** — the count at such an `le` is
     /// precisely the number of samples ≤ `le`.
-    pub fn cumulative_le(&self, bounds_us: &[u64]) -> (Vec<u64>, u64) {
+    fn cumulative_le(&self, bounds_us: &[u64]) -> (Vec<u64>, u64) {
         let counts: Vec<u64> = self
             .buckets
             .iter()
@@ -133,7 +133,7 @@ impl LatencyHistogram {
 /// to ~16.8 s in `2^k - 1` steps, so every bound lands exactly on an
 /// internal bucket edge (zero approximation error in the cumulative
 /// counts — see [`LatencyHistogram::cumulative_le`]).
-pub const LATENCY_LE_US: [u64; 17] = [
+const LATENCY_LE_US: [u64; 17] = [
     1, 3, 7, 15, 31, 63, 127, 255, 511, 1023, 4095, 16383, 65535, 262143, 1048575, 4194303,
     16777215,
 ];
@@ -524,7 +524,8 @@ fn write_label_block(out: &mut String, labels: &[(&str, &str)], le: Option<&str>
             out.push(',');
         }
         first = false;
-        let _ = write!(out, "{name}=\"");
+        out.push_str(name);
+        out.push_str("=\"");
         for c in value.chars() {
             match c {
                 '"' => out.push_str("\\\""),
@@ -539,7 +540,9 @@ fn write_label_block(out: &mut String, labels: &[(&str, &str)], le: Option<&str>
         if !first {
             out.push(',');
         }
-        let _ = write!(out, "le=\"{le}\"");
+        out.push_str("le=\"");
+        out.push_str(le);
+        out.push('"');
     }
     out.push('}');
 }
@@ -553,8 +556,15 @@ pub fn render_prometheus(families: &[MetricFamily<'_>], out: &mut String) {
             continue;
         };
         let name = family.name;
-        let _ = writeln!(out, "# HELP {name} {}", family.help.replace('\n', " "));
-        let _ = writeln!(out, "# TYPE {name} {}", first.value.type_str());
+        out.push_str("# HELP ");
+        out.push_str(name);
+        out.push(' ');
+        out.push_str(&family.help.replace('\n', " "));
+        out.push_str("\n# TYPE ");
+        out.push_str(name);
+        out.push(' ');
+        out.push_str(first.value.type_str());
+        out.push('\n');
         for sample in &family.samples {
             debug_assert_eq!(
                 sample.value.type_str(),
@@ -563,38 +573,48 @@ pub fn render_prometheus(families: &[MetricFamily<'_>], out: &mut String) {
             );
             match &sample.value {
                 MetricValue::Counter(v) | MetricValue::Gauge(v) => {
-                    out.push_str(name);
-                    write_label_block(out, &sample.labels, None);
-                    let _ = writeln!(out, " {v}");
+                    write_sample(out, name, "", &sample.labels, None, *v);
                 }
                 MetricValue::GaugeF64(v) => {
                     out.push_str(name);
                     write_label_block(out, &sample.labels, None);
-                    let _ = writeln!(out, " {v}");
+                    out.push(' ');
+                    num::write_f64(*v, out);
+                    out.push('\n');
                 }
                 MetricValue::Histogram(histogram) => {
                     let (cums, total) = histogram.cumulative_le(&LATENCY_LE_US);
                     let mut bound = String::new();
-                    for (le, cum) in LATENCY_LE_US.iter().zip(&cums) {
+                    for (&le, &cum) in LATENCY_LE_US.iter().zip(&cums) {
                         bound.clear();
-                        let _ = write!(bound, "{le}");
-                        let _ = write!(out, "{name}_bucket");
-                        write_label_block(out, &sample.labels, Some(&bound));
-                        let _ = writeln!(out, " {cum}");
+                        num::write_u64(le, &mut bound);
+                        write_sample(out, name, "_bucket", &sample.labels, Some(&bound), cum);
                     }
-                    let _ = write!(out, "{name}_bucket");
-                    write_label_block(out, &sample.labels, Some("+Inf"));
-                    let _ = writeln!(out, " {total}");
-                    let _ = write!(out, "{name}_sum");
-                    write_label_block(out, &sample.labels, None);
-                    let _ = writeln!(out, " {}", histogram.sum_micros());
-                    let _ = write!(out, "{name}_count");
-                    write_label_block(out, &sample.labels, None);
-                    let _ = writeln!(out, " {total}");
+                    write_sample(out, name, "_bucket", &sample.labels, Some("+Inf"), total);
+                    let sum = histogram.sum_micros();
+                    write_sample(out, name, "_sum", &sample.labels, None, sum);
+                    write_sample(out, name, "_count", &sample.labels, None, total);
                 }
             }
         }
     }
+}
+
+/// One integer sample line: `{name}{suffix}{labels} {value}`.
+fn write_sample(
+    out: &mut String,
+    name: &str,
+    suffix: &str,
+    labels: &[(&str, &str)],
+    le: Option<&str>,
+    value: u64,
+) {
+    out.push_str(name);
+    out.push_str(suffix);
+    write_label_block(out, labels, le);
+    out.push(' ');
+    num::write_u64(value, out);
+    out.push('\n');
 }
 
 /// Strictly validate a Prometheus text exposition document: every

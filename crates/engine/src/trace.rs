@@ -37,7 +37,7 @@ use std::time::Instant;
 /// Capacity of the inline algorithm-name buffer in a [`Trace`].
 /// Longer names are truncated (on a UTF-8 boundary) — every name in
 /// the standard registry fits with room to spare.
-pub const TRACE_NAME_CAP: usize = 32;
+const TRACE_NAME_CAP: usize = 32;
 
 /// A fixed-capacity inline string: the algorithm name of a [`Trace`]
 /// without a heap allocation on the warm path.
@@ -48,7 +48,7 @@ pub struct TraceStr {
 }
 
 impl TraceStr {
-    /// Store `s`, truncating to [`TRACE_NAME_CAP`] bytes on a UTF-8
+    /// Store `s`, truncating to `TRACE_NAME_CAP` bytes on a UTF-8
     /// character boundary.
     pub fn new(s: &str) -> Self {
         let mut end = s.len().min(TRACE_NAME_CAP);
@@ -268,11 +268,6 @@ impl FlightRecorder {
     /// timestamp domain of [`Trace::end_us`].
     pub fn now_us(&self) -> u64 {
         u64::try_from(self.started.elapsed().as_micros()).unwrap_or(u64::MAX)
-    }
-
-    /// The `--trace-slow-us` threshold.
-    pub fn slow_threshold_us(&self) -> u64 {
-        self.slow_threshold_us
     }
 
     /// Total traces recorded since start.

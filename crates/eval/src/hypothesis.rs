@@ -7,8 +7,6 @@
 //!
 //! * [`mann_whitney_u`] — two independent samples (e.g. NDCG of
 //!   algorithm A vs B across repetitions);
-//! * [`wilcoxon_signed_rank`] — paired samples (both algorithms on the
-//!   *same* repetitions);
 //! * [`chi_square_gof`] — goodness of fit of observed counts to
 //!   expected frequencies (used to validate samplers against PMFs).
 //!
@@ -95,75 +93,6 @@ pub fn mann_whitney_u(xs: &[f64], ys: &[f64]) -> Result<TestResult> {
     let z = (diff - cc) / var.sqrt();
     Ok(TestResult {
         statistic: u1,
-        z,
-        p_value: two_sided_p(z),
-    })
-}
-
-/// Wilcoxon signed-rank test for paired samples: is the median paired
-/// difference zero? Zero differences are dropped (Wilcoxon's rule);
-/// two-sided normal approximation with tie correction.
-///
-/// Errors on length mismatch or when every pair is tied.
-pub fn wilcoxon_signed_rank(xs: &[f64], ys: &[f64]) -> Result<TestResult> {
-    if xs.len() != ys.len() {
-        return Err(EvalError::LengthMismatch {
-            left: xs.len(),
-            right: ys.len(),
-        });
-    }
-    let mut diffs: Vec<f64> = xs
-        .iter()
-        .zip(ys)
-        .map(|(&a, &b)| a - b)
-        .filter(|d| *d != 0.0)
-        .collect();
-    if diffs.is_empty() {
-        return Err(EvalError::EmptySample);
-    }
-    diffs.sort_by(|a, b| {
-        a.abs()
-            .partial_cmp(&b.abs())
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let n = diffs.len();
-    let mut ranks = vec![0.0f64; n];
-    let mut tie_term = 0.0f64;
-    let mut i = 0;
-    while i < n {
-        let mut j = i;
-        while j + 1 < n && diffs[j + 1].abs() == diffs[i].abs() {
-            j += 1;
-        }
-        let mid = (i + j) as f64 / 2.0 + 1.0;
-        for r in ranks.iter_mut().take(j + 1).skip(i) {
-            *r = mid;
-        }
-        let t = (j - i + 1) as f64;
-        tie_term += t * t * t - t;
-        i = j + 1;
-    }
-    let w_plus: f64 = diffs
-        .iter()
-        .zip(&ranks)
-        .filter(|(d, _)| **d > 0.0)
-        .map(|(_, &r)| r)
-        .sum();
-    let nf = n as f64;
-    let mean = nf * (nf + 1.0) / 4.0;
-    let var = nf * (nf + 1.0) * (2.0 * nf + 1.0) / 24.0 - tie_term / 48.0;
-    if var <= 0.0 {
-        return Ok(TestResult {
-            statistic: w_plus,
-            z: 0.0,
-            p_value: 1.0,
-        });
-    }
-    let diff = w_plus - mean;
-    let cc = 0.5 * diff.signum();
-    let z = (diff - cc) / var.sqrt();
-    Ok(TestResult {
-        statistic: w_plus,
         z,
         p_value: two_sided_p(z),
     })
@@ -384,37 +313,6 @@ mod tests {
     #[test]
     fn mann_whitney_empty_errors() {
         assert!(mann_whitney_u(&[], &[1.0]).is_err());
-    }
-
-    #[test]
-    fn wilcoxon_no_difference_not_significant() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0];
-        let ys: Vec<f64> = xs
-            .iter()
-            .map(|&v| {
-                v + if (v as usize).is_multiple_of(2) {
-                    0.1
-                } else {
-                    -0.1
-                }
-            })
-            .collect();
-        let r = wilcoxon_signed_rank(&xs, &ys).unwrap();
-        assert!(!r.significant_at(0.05), "p = {}", r.p_value);
-    }
-
-    #[test]
-    fn wilcoxon_detects_consistent_improvement() {
-        let xs: Vec<f64> = (0..25).map(|i| i as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|&v| v + 1.0).collect();
-        let r = wilcoxon_signed_rank(&xs, &ys).unwrap();
-        assert!(r.significant_at(0.001), "p = {}", r.p_value);
-    }
-
-    #[test]
-    fn wilcoxon_rejects_degenerate_input() {
-        assert!(wilcoxon_signed_rank(&[1.0], &[1.0, 2.0]).is_err());
-        assert!(wilcoxon_signed_rank(&[1.0, 2.0], &[1.0, 2.0]).is_err()); // all ties
     }
 
     #[test]

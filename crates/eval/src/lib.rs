@@ -2,25 +2,25 @@
 //!
 //! * [`stats`] — summary statistics (mean, median, standard deviation,
 //!   percentiles) over `f64` samples;
-//! * [`bootstrap`] — percentile bootstrap confidence intervals, the
+//! * [`bootstrap_ci`] — percentile bootstrap confidence intervals, the
 //!   method the paper uses for every figure (`n = 1000` resamples);
-//! * [`rand_ext`] — Gaussian sampling via the Marsaglia polar method,
-//!   replacing the `rand_distr` dependency (see DESIGN.md);
+//! * [`NormalSampler`] — Gaussian sampling via the Marsaglia polar
+//!   method, replacing the `rand_distr` dependency (see DESIGN.md);
 //! * [`hypothesis`] — nonparametric significance tests (Mann–Whitney U,
-//!   Wilcoxon signed-rank, χ² goodness of fit);
+//!   χ² goodness of fit);
 //! * [`table`] — plain-text table emitters used by the `experiments`
 //!   binaries to print paper-style series.
 
 #![forbid(unsafe_code)]
 
-pub mod bootstrap;
+mod bootstrap;
 pub mod hypothesis;
-pub mod rand_ext;
+mod rand_ext;
 pub mod stats;
 pub mod table;
 
 pub use bootstrap::{bootstrap_ci, BootstrapCi, Statistic};
-pub use hypothesis::{chi_square_gof, mann_whitney_u, wilcoxon_signed_rank, TestResult};
+pub use hypothesis::{chi_square_gof, mann_whitney_u, TestResult};
 pub use rand_ext::NormalSampler;
 
 /// Errors raised by statistical routines.

@@ -66,11 +66,6 @@ impl NormalSampler {
     }
 }
 
-/// One-off standard normal draw (no state reuse).
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    NormalSampler::standard().sample(rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

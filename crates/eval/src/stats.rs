@@ -52,49 +52,6 @@ pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
     sorted[lo] * (1.0 - frac) + sorted[hi] * frac
 }
 
-/// Streaming mean/variance accumulator (Welford). Useful in tight
-/// experiment loops where samples are not retained.
-#[derive(Debug, Clone, Default)]
-pub struct Welford {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Welford {
-    /// New empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fold in one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Running mean.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            (self.m2 / (self.n - 1) as f64).sqrt()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,24 +97,5 @@ mod tests {
         let xs = [1.0, 2.0];
         assert_eq!(percentile(&xs, -5.0), 1.0);
         assert_eq!(percentile(&xs, 150.0), 2.0);
-    }
-
-    #[test]
-    fn welford_matches_batch() {
-        let xs = [1.5, -2.0, 7.0, 3.25, 0.0, 4.5];
-        let mut w = Welford::new();
-        for &x in &xs {
-            w.push(x);
-        }
-        assert_eq!(w.count(), 6);
-        assert!((w.mean() - mean(&xs)).abs() < 1e-12);
-        assert!((w.std_dev() - std_dev(&xs)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn welford_degenerate() {
-        let w = Welford::new();
-        assert_eq!(w.mean(), 0.0);
-        assert_eq!(w.std_dev(), 0.0);
     }
 }

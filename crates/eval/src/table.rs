@@ -39,11 +39,6 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render with aligned columns.
     pub fn render(&self) -> String {
         let cols = self

@@ -83,7 +83,7 @@ pub struct Panel {
 
 impl Panel {
     /// The four panels (a)–(d) of the paper's Figs. 5–7.
-    pub fn paper_panels() -> [Panel; 4] {
+    fn paper_panels() -> [Panel; 4] {
         [
             Panel {
                 theta: 0.5,
@@ -119,7 +119,7 @@ impl Panel {
 
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
-pub struct PipelineConfig {
+struct PipelineConfig {
     /// Ranking sizes to sweep (paper: 10, 20, …, 100).
     pub sizes: Vec<usize>,
     /// Repetitions per size (paper: 15).
@@ -150,7 +150,7 @@ impl PipelineConfig {
 
 /// Per-(size, algorithm) raw measurements across repetitions.
 #[derive(Debug, Clone, Default)]
-pub struct Measurements {
+struct Measurements {
     /// `% P-fair positions` w.r.t. the known Sex-Age attribute.
     pub ppfair_known: Vec<f64>,
     /// `% P-fair positions` w.r.t. the unknown Housing attribute.
@@ -161,7 +161,7 @@ pub struct Measurements {
 
 /// Results of one panel: `per_size[size_idx][algorithm_idx]`.
 #[derive(Debug, Clone)]
-pub struct PanelResults {
+struct PanelResults {
     /// The sizes swept.
     pub sizes: Vec<usize>,
     /// Raw measurements per size per algorithm (see [`Algorithm::all`]).
@@ -210,7 +210,7 @@ pub fn cell_job(
 /// Run one panel of the German-Credit pipeline through the engine's
 /// algorithm registry (one [`RankJob`] per cell, executed on the same
 /// core as the HTTP endpoints).
-pub fn run_panel(
+fn run_panel(
     data: &GermanCredit,
     config: &PipelineConfig,
     panel: Panel,

@@ -149,30 +149,6 @@ impl FairnessBounds {
         }
         BoundTables { min, max }
     }
-
-    /// Whether the integer bounds admit *some* assignment of counts for a
-    /// full ranking of `n` items with the given group sizes (a quick
-    /// necessary check: `Σ_p min_p(k) ≤ k ≤ Σ_p min(max_p(k), size_p)`
-    /// for all k, and `min_p(n) ≤ size_p`).
-    pub fn is_plausibly_feasible(&self, groups: &GroupAssignment) -> bool {
-        let sizes = groups.group_sizes();
-        let n = groups.len();
-        for k in 1..=n {
-            let mut lo_sum = 0usize;
-            let mut hi_sum = 0usize;
-            for p in 0..self.num_groups() {
-                lo_sum += self.min_count(p, k).min(sizes[p]);
-                hi_sum += self.max_count(p, k).min(sizes[p]);
-                if self.min_count(p, k) > sizes[p] {
-                    return false;
-                }
-            }
-            if lo_sum > k || hi_sum < k {
-                return false;
-            }
-        }
-        true
-    }
 }
 
 /// `⌊x⌋` of a non-negative product `x`: the truncating cast, without
@@ -406,20 +382,5 @@ mod tests {
         t.clamp();
         assert!(t.min[2][0] <= 3);
         assert!(t.max[2][0] >= t.min[2][0]);
-    }
-
-    #[test]
-    fn plausible_feasibility_detects_oversized_lower_bound() {
-        // group 0 has 1 member but lower bound demands half of every prefix
-        let g = GroupAssignment::new(vec![0, 1, 1, 1], 2).unwrap();
-        let b = FairnessBounds::new(vec![0.5, 0.0], vec![1.0, 1.0]).unwrap();
-        assert!(!b.is_plausibly_feasible(&g));
-    }
-
-    #[test]
-    fn plausible_feasibility_accepts_exact_proportions() {
-        let g = GroupAssignment::alternating(10);
-        let b = FairnessBounds::from_assignment(&g);
-        assert!(b.is_plausibly_feasible(&g));
     }
 }

@@ -11,7 +11,7 @@
 //! * [`rkl`] — the rKL measure of Yang & Stoyanovich (SSDBM'17, the
 //!   paper's reference \[29\]): KL divergence accumulated at coarse
 //!   cut-points (every 10 positions by default).
-//! * [`skew_at`], [`min_skew_at`], [`max_skew_at`] — the logarithmic
+//! * `skew_at`, [`min_skew_at`], [`max_skew_at`] — the logarithmic
 //!   over/under-representation of a group in the top-`k`.
 //!
 //! All divergences compare against the *overall* group distribution of
@@ -127,7 +127,7 @@ fn cutpoints(n: usize, step: usize) -> Vec<usize> {
 /// rKL of Yang & Stoyanovich (the paper's reference \[29\]) with the
 /// conventional cut-point step of 10.
 ///
-/// See [`rkl_with_step`] for the definition.
+/// See `rkl_with_step` for the definition.
 pub fn rkl(pi: &Permutation, groups: &GroupAssignment) -> Result<f64> {
     rkl_with_step(pi, groups, 10)
 }
@@ -141,7 +141,7 @@ pub fn rkl(pi: &Permutation, groups: &GroupAssignment) -> Result<f64> {
 /// Unlike [`ndkl`] this is **not** normalized — the original measure is
 /// reported raw so that values are comparable with the fairness-in-
 /// ranked-outputs literature. `0` is perfectly fair.
-pub fn rkl_with_step(pi: &Permutation, groups: &GroupAssignment, step: usize) -> Result<f64> {
+fn rkl_with_step(pi: &Permutation, groups: &GroupAssignment, step: usize) -> Result<f64> {
     check_lengths(pi, groups)?;
     if pi.is_empty() {
         return Ok(0.0);
@@ -163,7 +163,7 @@ pub fn rkl_with_step(pi: &Permutation, groups: &GroupAssignment, step: usize) ->
 /// Returns `-∞` when the group is absent from a prefix where it has
 /// positive overall proportion, and `0` for a group that is empty
 /// overall (it cannot be misrepresented).
-pub fn skew_at(pi: &Permutation, groups: &GroupAssignment, k: usize, group: usize) -> Result<f64> {
+fn skew_at(pi: &Permutation, groups: &GroupAssignment, k: usize, group: usize) -> Result<f64> {
     check_lengths(pi, groups)?;
     if group >= groups.num_groups() {
         return Err(FairnessError::InvalidGroup {

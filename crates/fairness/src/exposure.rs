@@ -8,7 +8,7 @@
 //! optimized for — this module supplies that second family:
 //!
 //! * [`group_exposures`] — total position-bias attention per group;
-//! * [`mean_group_exposures`] — attention per group member;
+//! * `mean_group_exposures` — attention per group member;
 //! * [`exposure_parity_ratio`] — min/max ratio of mean exposures
 //!   (demographic parity of exposure; `1` is perfect parity);
 //! * [`disparate_treatment_ratio`] — min/max ratio of exposure-per-
@@ -44,7 +44,7 @@ pub fn group_exposures(
 }
 
 /// Mean exposure per member of each group. Empty groups report `0`.
-pub fn mean_group_exposures(
+fn mean_group_exposures(
     pi: &Permutation,
     groups: &GroupAssignment,
     discount: Discount,

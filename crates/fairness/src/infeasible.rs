@@ -8,7 +8,7 @@
 //!   the independent oracle and the baseline the criterion-kernel
 //!   bench measures against.
 //! * [`CompiledInfeasible`] — bounds compiled once into
-//!   [`BoundSteps`](crate::BoundSteps) event lists, then each ranking
+//!   [`BoundSteps`] event lists, then each ranking
 //!   replays `O(n + steps)` integer increments while tracking the
 //!   violating-group *counters* incrementally instead of rescanning
 //!   all groups at every prefix. This is the hot path of the best-of-`m`
@@ -280,14 +280,6 @@ pub fn pfair_from_index(ii: usize, n: usize) -> f64 {
     (100.0 * (1.0 - ii as f64 / n as f64)).max(0.0)
 }
 
-/// Convenience: infeasible index measured against bounds equal to the
-/// groups' own proportions (the setting of the paper's synthetic
-/// experiments, Figs. 1–4).
-pub fn infeasible_index_proportional(pi: &Permutation, groups: &GroupAssignment) -> Result<usize> {
-    let bounds = FairnessBounds::from_assignment(groups);
-    two_sided_infeasible_index(pi, groups, &bounds)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -367,15 +359,6 @@ mod tests {
     }
 
     #[test]
-    fn proportional_convenience_matches_explicit() {
-        let g = GroupAssignment::new(vec![0, 1, 1, 0, 1, 0], 2).unwrap();
-        let pi = Permutation::from_order(vec![1, 0, 2, 5, 4, 3]).unwrap();
-        let explicit =
-            two_sided_infeasible_index(&pi, &g, &FairnessBounds::from_assignment(&g)).unwrap();
-        assert_eq!(infeasible_index_proportional(&pi, &g).unwrap(), explicit);
-    }
-
-    #[test]
     fn compiled_kernel_matches_naive_on_exhaustive_small_cases() {
         let assignments = [
             GroupAssignment::binary_split(6, 3),
@@ -444,9 +427,10 @@ mod tests {
     fn swapping_adjacent_cross_group_items_changes_index_by_at_most_two() {
         let g = GroupAssignment::alternating(8);
         let mut pi = Permutation::identity(8);
-        let before = infeasible_index_proportional(&pi, &g).unwrap() as isize;
+        let bounds = FairnessBounds::from_assignment(&g);
+        let before = two_sided_infeasible_index(&pi, &g, &bounds).unwrap() as isize;
         pi.swap_positions(2, 3);
-        let after = infeasible_index_proportional(&pi, &g).unwrap() as isize;
+        let after = two_sided_infeasible_index(&pi, &g, &bounds).unwrap() as isize;
         assert!((before - after).abs() <= 2);
     }
 }

@@ -118,22 +118,6 @@ impl SoftGroupAssignment {
         self.num_groups
     }
 
-    /// Membership distribution of `item`.
-    pub fn distribution(&self, item: usize) -> &[f64] {
-        &self.probs[item]
-    }
-
-    /// Expected number of members of each group (marginal sums).
-    pub fn expected_sizes(&self) -> Vec<f64> {
-        let mut sizes = vec![0.0; self.num_groups];
-        for row in &self.probs {
-            for (s, &p) in sizes.iter_mut().zip(row) {
-                *s += p;
-            }
-        }
-        sizes
-    }
-
     /// Expected per-group counts over every prefix of `pi`:
     /// `out[k][p]` = `E[count_{k+1}(G_p, π)]`.
     pub fn expected_prefix_counts(&self, pi: &Permutation) -> Result<Vec<Vec<f64>>> {
@@ -320,9 +304,7 @@ mod tests {
     fn from_hard_is_indicator() {
         let g = hard(&[0, 1, 0]);
         let s = SoftGroupAssignment::from_hard(&g);
-        assert_eq!(s.distribution(0), &[1.0, 0.0]);
-        assert_eq!(s.distribution(1), &[0.0, 1.0]);
-        assert_eq!(s.expected_sizes(), vec![2.0, 1.0]);
+        assert_eq!(s.probs, [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]);
     }
 
     #[test]
@@ -337,7 +319,7 @@ mod tests {
         let g = GroupAssignment::new(vec![0, 1, 2, 1], 3).unwrap();
         let s = SoftGroupAssignment::from_noisy_labels(&g, 0.3).unwrap();
         for i in 0..4 {
-            let row = s.distribution(i);
+            let row = &s.probs[i];
             assert!((row.iter().sum::<f64>() - 1.0).abs() < 1e-12);
             assert!((row[g.group_of(i)] - 0.7).abs() < 1e-12);
         }

@@ -153,7 +153,7 @@ impl CayleyMallows {
 }
 
 /// `ln Z_n(θ)` for the Cayley model; free function for estimators.
-pub fn ln_partition_cayley(n: usize, theta: f64) -> f64 {
+fn ln_partition_cayley(n: usize, theta: f64) -> f64 {
     let e = (-theta).exp();
     (1..n).map(|j| (1.0 + j as f64 * e).ln()).sum()
 }

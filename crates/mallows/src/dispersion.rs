@@ -5,7 +5,7 @@
 //! the case of Mallows' model". This module provides the two natural
 //! knobs:
 //!
-//! * [`theta_for_expected_distance`] — target an absolute expected
+//! * `theta_for_expected_distance` — target an absolute expected
 //!   Kendall tau distance;
 //! * [`theta_for_normalized_distance`] — target a fraction of the maximum
 //!   distance `n(n−1)/2`, which transfers across ranking sizes.
@@ -15,7 +15,7 @@ use crate::model::expected_kendall_tau;
 
 /// `θ` such that `E[d_KT]` under `M(·, θ)` equals `target` (clamped to
 /// the achievable range `[0, n(n−1)/4]`).
-pub fn theta_for_expected_distance(n: usize, target: f64) -> f64 {
+fn theta_for_expected_distance(n: usize, target: f64) -> f64 {
     solve_theta_for_distance(n, target.max(0.0))
 }
 

@@ -69,11 +69,6 @@ impl GeneralizedMallows {
         &self.center
     }
 
-    /// The per-stage dispersions.
-    pub fn thetas(&self) -> &[f64] {
-        &self.thetas
-    }
-
     /// Draw one exact sample via the stage-wise RIM.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Permutation {
         let n = self.center.len();

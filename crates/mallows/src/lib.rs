@@ -25,18 +25,15 @@
 
 pub mod cayley;
 pub mod dispersion;
-pub mod generalized;
-pub mod mixture;
+mod generalized;
 pub mod mle;
 mod model;
-pub mod plackett_luce;
-pub mod privacy;
+mod plackett_luce;
 pub mod tables;
 pub mod truncated;
 
 pub use cayley::CayleyMallows;
 pub use generalized::GeneralizedMallows;
-pub use mixture::MallowsMixture;
 pub use model::MallowsModel;
 pub use plackett_luce::PlackettLuce;
 pub use tables::{RimSampler, SamplerTables};

@@ -63,93 +63,6 @@ pub fn solve_theta_for_distance(n: usize, target: f64) -> f64 {
     0.5 * (lo + hi)
 }
 
-/// Maximum-likelihood `θ` from **top-k lists** around a known centre.
-///
-/// Under the sequential-selection view of Mallows, each observed list
-/// contributes independent truncated-geometric displacements
-/// `v_j ∈ {0, …, m_j − 1}` (`m_j` = items remaining before the `j`-th
-/// pick; `v_j` = the pick's rank among them in centre order). The MLE
-/// solves the stationarity condition
-///
-/// ```text
-/// Σ_j v_j = Σ_j E_θ[V_{m_j}],   E_θ[V_m] = q/(1−q) − m·q^m/(1−q^m)
-/// ```
-///
-/// by bisection (the right-hand side is strictly decreasing in `θ`).
-/// Lists may have different lengths `k ≤ n`; items must be distinct and
-/// in range. Returns `THETA_MAX` for perfectly centre-consistent data
-/// and `0` for data at least as dispersed as uniform.
-pub fn estimate_theta_topk(center: &Permutation, lists: &[Vec<usize>]) -> Result<f64> {
-    if lists.is_empty() {
-        return Err(MallowsError::NoSamples);
-    }
-    let n = center.len();
-    let mut total_v = 0.0f64;
-    let mut stages: Vec<usize> = Vec::new(); // remaining-count m per pick
-    for list in lists {
-        if list.len() > n {
-            return Err(MallowsError::LengthMismatch {
-                center: n,
-                other: list.len(),
-            });
-        }
-        // displacement of each pick among the surviving centre positions
-        let mut alive = vec![true; n];
-        for (j, &item) in list.iter().enumerate() {
-            if item >= n || !alive[center.position_of(item)] {
-                return Err(MallowsError::LengthMismatch {
-                    center: n,
-                    other: list.len(),
-                });
-            }
-            let pos = center.position_of(item);
-            let v = alive.iter().take(pos).filter(|&&a| a).count();
-            alive[pos] = false;
-            total_v += v as f64;
-            stages.push(n - j);
-        }
-    }
-    if stages.is_empty() {
-        return Err(MallowsError::NoSamples);
-    }
-    let expected_at = |theta: f64| -> f64 {
-        stages
-            .iter()
-            .map(|&m| expected_truncated_geometric(m, theta))
-            .sum()
-    };
-    if total_v >= expected_at(0.0) {
-        return Ok(0.0);
-    }
-    if total_v <= expected_at(THETA_MAX) {
-        return Ok(THETA_MAX);
-    }
-    let (mut lo, mut hi) = (0.0f64, THETA_MAX);
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if expected_at(mid) > total_v {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    Ok(0.5 * (lo + hi))
-}
-
-/// `E[V]` for the truncated geometric on `{0, …, m − 1}` with weight
-/// `q^v`, `q = e^{−θ}`; `(m − 1)/2` at `θ = 0`.
-fn expected_truncated_geometric(m: usize, theta: f64) -> f64 {
-    if m <= 1 {
-        return 0.0;
-    }
-    if theta == 0.0 {
-        return (m as f64 - 1.0) / 2.0;
-    }
-    let q = (-theta).exp();
-    let qm = q.powi(m as i32);
-    q / (1.0 - q) - m as f64 * qm / (1.0 - qm)
-}
-
 /// Borda centre estimation: rank items by their mean position across the
 /// samples (ties broken by item index).
 pub fn estimate_center_borda(samples: &[Permutation]) -> Result<Permutation> {
@@ -229,56 +142,6 @@ mod tests {
             estimate_center_borda(&[]),
             Err(MallowsError::NoSamples)
         ));
-    }
-
-    #[test]
-    fn topk_theta_recovery_matches_truth() {
-        use crate::TopKMallows;
-        let center = Permutation::identity(20);
-        for true_theta in [0.4, 1.0, 2.0] {
-            let sampler = TopKMallows::new(center.clone(), true_theta, 6).unwrap();
-            let mut rng = StdRng::seed_from_u64(91);
-            let lists = sampler.sample_many(2500, &mut rng);
-            let est = estimate_theta_topk(&center, &lists).unwrap();
-            assert!(
-                (est - true_theta).abs() < 0.15,
-                "true θ {true_theta} estimated {est} from top-6 lists"
-            );
-        }
-    }
-
-    #[test]
-    fn topk_theta_full_lists_agree_with_full_mle() {
-        let center = Permutation::identity(10);
-        let model = MallowsModel::new(center.clone(), 0.9).unwrap();
-        let mut rng = StdRng::seed_from_u64(17);
-        let samples = model.sample_many(1000, &mut rng);
-        let full = estimate_theta(&center, &samples).unwrap();
-        let lists: Vec<Vec<usize>> = samples.iter().map(|s| s.as_order().to_vec()).collect();
-        let topk = estimate_theta_topk(&center, &lists).unwrap();
-        // Σv over a full list equals d_KT, and Σ E[V_m] over stages
-        // equals E[D_n]: both estimators solve the same equation.
-        assert!((full - topk).abs() < 1e-9, "full {full} vs top-k {topk}");
-    }
-
-    #[test]
-    fn topk_theta_rejects_bad_lists() {
-        let center = Permutation::identity(5);
-        assert!(estimate_theta_topk(&center, &[]).is_err());
-        assert!(estimate_theta_topk(&center, &[vec![0, 0]]).is_err());
-        assert!(estimate_theta_topk(&center, &[vec![9]]).is_err());
-        assert!(estimate_theta_topk(&center, &[vec![0, 1, 2, 3, 4, 4]]).is_err());
-    }
-
-    #[test]
-    fn topk_theta_degenerate_cases() {
-        let center = Permutation::identity(6);
-        // always the centre prefix → maximal concentration
-        let lists = vec![vec![0, 1, 2]; 50];
-        assert_eq!(estimate_theta_topk(&center, &lists).unwrap(), THETA_MAX);
-        // always the worst prefix → θ = 0
-        let worst = vec![vec![5, 4, 3]; 50];
-        assert_eq!(estimate_theta_topk(&center, &worst).unwrap(), 0.0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for the Mallows model family.
 
 use mallows_model::tables::SamplerTables;
-use mallows_model::{CayleyMallows, MallowsMixture, MallowsModel, TopKMallows};
+use mallows_model::{CayleyMallows, MallowsModel, TopKMallows};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -200,40 +200,5 @@ proptest! {
                 );
             }
         }
-    }
-
-    #[test]
-    fn mixture_responsibilities_are_distributions(
-        c1 in permutation(6),
-        c2 in permutation(6),
-        samples in prop::collection::vec(0u64..,.. 4),
-    ) {
-        let mix = MallowsMixture::new(
-            vec![
-                MallowsModel::new(c1, 0.8).unwrap(),
-                MallowsModel::new(c2, 1.2).unwrap(),
-            ],
-            vec![0.4, 0.6],
-        )
-        .unwrap();
-        let mut rng = StdRng::seed_from_u64(samples.first().copied().unwrap_or(7));
-        let data: Vec<Permutation> = (0..5).map(|_| mix.sample(&mut rng)).collect();
-        for row in mix.responsibilities(&data).unwrap() {
-            prop_assert!((row.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-            prop_assert!(row.iter().all(|&r| (0.0..=1.0 + 1e-12).contains(&r)));
-        }
-    }
-
-    #[test]
-    fn mixture_pmf_bounded_by_component_max(pi in permutation(5), w in 0.05f64..0.95) {
-        let a = MallowsModel::new(Permutation::identity(5), 0.7).unwrap();
-        let b = MallowsModel::new(Permutation::from_order(vec![4, 3, 2, 1, 0]).unwrap(), 1.1)
-            .unwrap();
-        let pa = a.pmf(&pi).unwrap();
-        let pb = b.pmf(&pi).unwrap();
-        let mix = MallowsMixture::new(vec![a, b], vec![w, 1.0 - w]).unwrap();
-        let pm = mix.pmf(&pi).unwrap();
-        prop_assert!(pm <= pa.max(pb) + 1e-12);
-        prop_assert!(pm >= pa.min(pb) - 1e-12);
     }
 }

@@ -35,42 +35,9 @@ pub fn kendall_tau_naive(pi: &Permutation, sigma: &Permutation) -> Result<u64> {
     Ok(d)
 }
 
-/// Kendall's tau coefficient `kτ = 1 − 4·d_KT / (n(n−1)) ∈ [−1, 1]`.
-///
-/// Returns an error on rankings with fewer than two items (the
-/// normalization is undefined there).
-pub fn kendall_tau_coefficient(pi: &Permutation, sigma: &Permutation) -> Result<f64> {
-    let n = pi.len() as u64;
-    if n < 2 {
-        return Err(RankingError::Empty);
-    }
-    let d = kendall_tau(pi, sigma)?;
-    Ok(1.0 - 4.0 * d as f64 / (n * (n - 1)) as f64)
-}
-
 /// Maximum possible Kendall tau distance for `n` items: `n(n−1)/2`.
 pub fn max_kendall_tau(n: usize) -> u64 {
     (n as u64) * (n as u64).saturating_sub(1) / 2
-}
-
-/// Spearman distance `d₂(π, σ) = Σᵢ (π(i) − σ(i))²` over item positions.
-pub fn spearman(pi: &Permutation, sigma: &Permutation) -> Result<u64> {
-    if pi.len() != sigma.len() {
-        return Err(RankingError::LengthMismatch {
-            left: pi.len(),
-            right: sigma.len(),
-        });
-    }
-    let pp = pi.positions();
-    let sp = sigma.positions();
-    Ok(pp
-        .iter()
-        .zip(&sp)
-        .map(|(&a, &b)| {
-            let d = a.abs_diff(b) as u64;
-            d * d
-        })
-        .sum())
 }
 
 /// Spearman footrule `d₁(π, σ) = Σᵢ |π(i) − σ(i)|` over item positions.
@@ -139,7 +106,7 @@ pub fn hamming(pi: &Permutation, sigma: &Permutation) -> Result<u64> {
 
 /// Count inversions of an integer sequence in `O(n log n)` with an
 /// iterative bottom-up merge sort over index buffers.
-pub fn count_inversions(seq: &[usize]) -> u64 {
+fn count_inversions(seq: &[usize]) -> u64 {
     let n = seq.len();
     if n < 2 {
         return 0;
@@ -191,7 +158,7 @@ fn merge_count(left: &[usize], right: &[usize], out: &mut [usize]) -> u64 {
 
 /// Length of the longest strictly increasing subsequence (patience
 /// sorting with binary search).
-pub fn longest_increasing_subsequence_len(seq: &[usize]) -> usize {
+fn longest_increasing_subsequence_len(seq: &[usize]) -> usize {
     let mut tails: Vec<usize> = Vec::new();
     for &x in seq {
         match tails.binary_search(&x) {
@@ -252,28 +219,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn kendall_coefficient_bounds() {
-        let id = Permutation::identity(5);
-        let rev = perm((0..5).rev().collect());
-        assert!((kendall_tau_coefficient(&id, &id).unwrap() - 1.0).abs() < 1e-12);
-        assert!((kendall_tau_coefficient(&rev, &id).unwrap() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kendall_coefficient_rejects_singleton() {
-        let one = Permutation::identity(1);
-        assert!(kendall_tau_coefficient(&one, &one).is_err());
-    }
-
-    #[test]
-    fn spearman_known_value() {
-        // identity vs reverse on 3 items: positions (0,1,2) vs (2,1,0) → 4+0+4
-        let id = Permutation::identity(3);
-        let rev = perm(vec![2, 1, 0]);
-        assert_eq!(spearman(&rev, &id).unwrap(), 8);
     }
 
     #[test]
@@ -342,7 +287,6 @@ mod tests {
         let a = Permutation::identity(3);
         let b = Permutation::identity(4);
         assert!(kendall_tau(&a, &b).is_err());
-        assert!(spearman(&a, &b).is_err());
         assert!(footrule(&a, &b).is_err());
         assert!(ulam(&a, &b).is_err());
         assert!(cayley(&a, &b).is_err());

@@ -230,28 +230,6 @@ fn decode_fenwick(code: &[u32], tree: &mut Vec<u32>, ranks: &mut Vec<u32>) {
     }
 }
 
-/// Inverse of decoding: the insertion code of `pi` relative to
-/// `reference` (such that `decode_insertion_code(reference, code) == pi`).
-pub fn encode_insertion_code(reference: &Permutation, pi: &Permutation) -> Result<Vec<usize>> {
-    if reference.len() != pi.len() {
-        return Err(RankingError::LengthMismatch {
-            left: reference.len(),
-            right: pi.len(),
-        });
-    }
-    let pos = pi.positions();
-    let n = reference.len();
-    // code[j-1] = # of earlier reference items placed after item j
-    let mut code = vec![0usize; n];
-    for (j, slot) in code.iter_mut().enumerate() {
-        let item = reference.item_at(j);
-        *slot = (0..j)
-            .filter(|&i| pos[reference.item_at(i)] > pos[item])
-            .count();
-    }
-    Ok(code)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,6 +264,28 @@ mod tests {
                 .collect(),
         )
         .unwrap()
+    }
+
+    /// Inverse of decoding: the insertion code of `pi` relative to
+    /// `reference` (such that `decode_insertion_code(reference, code) == pi`).
+    fn encode_insertion_code(reference: &Permutation, pi: &Permutation) -> Result<Vec<usize>> {
+        if reference.len() != pi.len() {
+            return Err(RankingError::LengthMismatch {
+                left: reference.len(),
+                right: pi.len(),
+            });
+        }
+        let pos = pi.positions();
+        let n = reference.len();
+        // code[j-1] = # of earlier reference items placed after item j
+        let mut code = vec![0usize; n];
+        for (j, slot) in code.iter_mut().enumerate() {
+            let item = reference.item_at(j);
+            *slot = (0..j)
+                .filter(|&i| pos[reference.item_at(i)] > pos[item])
+                .count();
+        }
+        Ok(code)
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //! * [`Permutation`] — a ranking over `n` items, stored in *order form*
 //!   (`order[k]` = item placed at position `k`) with cheap conversion to
 //!   *position form* (`position[i]` = position of item `i`);
-//! * [`distance`] — Kendall tau (naive and `O(n log n)`), Spearman,
-//!   footrule, Ulam, Cayley and Hamming distances between rankings, plus
-//!   the normalized Kendall tau coefficient;
-//! * [`quality`] — CG / DCG / IDCG / NDCG ranking-quality measures as used
+//! * [`distance`] — Kendall tau (naive and `O(n log n)`), footrule,
+//!   Ulam, Cayley and Hamming distances between rankings;
+//! * [`quality`] — DCG / IDCG / NDCG ranking-quality measures as used
 //!   by the paper (Section III-D).
 //!
 //! Conventions

@@ -41,12 +41,6 @@ impl Discount {
     }
 }
 
-/// Cumulative gain of the top-`k` prefix: `Σ s(π(i))`.
-pub fn cumulative_gain(pi: &Permutation, scores: &[f64], k: usize) -> Result<f64> {
-    check(pi, scores)?;
-    Ok(pi.prefix(k).iter().map(|&item| scores[item]).sum())
-}
-
 /// Discounted cumulative gain of the top-`k` prefix with the given
 /// discount: `Σ_{i=1..k} s(π(i)) / log(1 + i)`.
 pub fn dcg_at(pi: &Permutation, scores: &[f64], k: usize, discount: Discount) -> Result<f64> {
@@ -116,7 +110,7 @@ impl IdealDcg {
 
 /// Ideal DCG: DCG of the score-descending ranking `π*` over the same
 /// items, truncated at `k`.
-pub fn idcg_at(scores: &[f64], k: usize, discount: Discount) -> f64 {
+fn idcg_at(scores: &[f64], k: usize, discount: Discount) -> f64 {
     let ideal = Permutation::sorted_by_scores_desc(scores);
     // `ideal` is valid by construction, scores length matches.
     dcg_at(&ideal, scores, k, discount).expect("ideal ranking is consistent")
@@ -202,14 +196,6 @@ mod tests {
                 dcg(&pi, &s).unwrap().to_bits()
             );
         }
-    }
-
-    #[test]
-    fn cg_sums_prefix_scores() {
-        let pi = Permutation::from_order(vec![2, 0, 1]).unwrap();
-        let s = [1.0, 2.0, 4.0];
-        assert!((cumulative_gain(&pi, &s, 2).unwrap() - 5.0).abs() < 1e-12);
-        assert!((cumulative_gain(&pi, &s, 3).unwrap() - 7.0).abs() < 1e-12);
     }
 
     #[test]

@@ -5,17 +5,13 @@
 //! two such lists needs care because an item may appear in one list
 //! only; this module implements the standard measures of Fagin, Kumar &
 //! Sivakumar ("Comparing top k lists", SODA'03):
-//!
-//! * [`TopKList::kendall_with_penalty`] — `K^{(p)}`: Kendall tau
-//!   generalized with an optimistic–neutral penalty `p ∈ [0, ½]` for
-//!   pairs whose relative order is unknowable;
-//! * [`TopKList::footrule_with_location`] — `F^{(ℓ)}`: Spearman's
-//!   footrule with missing items placed at a virtual location `ℓ`;
-//! * [`TopKList::overlap`] / [`TopKList::jaccard`] — set agreement.
+//! [`TopKList::kendall_with_penalty`] is `K^{(p)}`, Kendall tau
+//! generalized with an optimistic–neutral penalty `p ∈ [0, ½]` for
+//! pairs whose relative order is unknowable.
 //!
 //! When both lists rank the whole universe (`k = n`), `K^{(p)}` equals
-//! the ordinary Kendall tau distance and `F^{(ℓ)}` the footrule
-//! distance, for every `p` and `ℓ` — the tests pin this down.
+//! the ordinary Kendall tau distance for every `p` — the tests pin
+//! this down.
 
 use crate::{Permutation, RankingError, Result};
 
@@ -56,11 +52,6 @@ impl TopKList {
         self.items.len()
     }
 
-    /// Universe size `n`.
-    pub fn universe(&self) -> usize {
-        self.universe
-    }
-
     /// True when no items are ranked.
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
@@ -79,22 +70,6 @@ impl TopKList {
     /// Does the list contain `item`?
     pub fn contains(&self, item: usize) -> bool {
         self.position_of(item).is_some()
-    }
-
-    /// Number of items present in both lists.
-    pub fn overlap(&self, other: &TopKList) -> usize {
-        self.items.iter().filter(|&&i| other.contains(i)).count()
-    }
-
-    /// Jaccard similarity of the two item sets (`1` for identical sets,
-    /// `0` for disjoint; empty ∪ empty is defined as `1`).
-    pub fn jaccard(&self, other: &TopKList) -> f64 {
-        let inter = self.overlap(other);
-        let union = self.k() + other.k() - inter;
-        if union == 0 {
-            return 1.0;
-        }
-        inter as f64 / union as f64
     }
 
     /// `K^{(p)}` — Kendall tau with penalty parameter `p ∈ [0, ½]`
@@ -190,43 +165,6 @@ impl TopKList {
         Ok(total)
     }
 
-    /// `F^{(ℓ)}` — induced footrule: every unranked item is assigned the
-    /// virtual (0-based) location `ℓ` and the footrule distance is taken
-    /// over the union. `ℓ = k` (one past the end) is the conventional
-    /// choice for equal-length lists.
-    ///
-    /// Errors when the universes differ.
-    pub fn footrule_with_location(&self, other: &TopKList, l: f64) -> Result<f64> {
-        if self.universe != other.universe {
-            return Err(RankingError::LengthMismatch {
-                left: self.universe,
-                right: other.universe,
-            });
-        }
-        Ok(self
-            .union_items(other)
-            .into_iter()
-            .map(|i| {
-                let a = self.position_of(i).map_or(l, |p| p as f64);
-                let b = other.position_of(i).map_or(l, |p| p as f64);
-                (a - b).abs()
-            })
-            .sum())
-    }
-
-    /// Complete to a full permutation: unranked items are appended in
-    /// ascending item order (the deterministic tail used when a
-    /// downstream consumer needs `S_n`).
-    pub fn complete(&self) -> Permutation {
-        let mut seen = vec![false; self.universe];
-        for &i in &self.items {
-            seen[i] = true;
-        }
-        let mut order = self.items.clone();
-        order.extend((0..self.universe).filter(|&i| !seen[i]));
-        Permutation::from_order_unchecked(order)
-    }
-
     fn union_items(&self, other: &TopKList) -> Vec<usize> {
         let mut union = self.items.clone();
         union.extend(other.items.iter().copied().filter(|&i| !self.contains(i)));
@@ -255,18 +193,6 @@ mod tests {
         let pi = Permutation::from_order(vec![3, 1, 0, 2]).unwrap();
         let t = TopKList::from_permutation(&pi, 2);
         assert_eq!(t.items(), &[3, 1]);
-        assert_eq!(t.universe(), 4);
-    }
-
-    #[test]
-    fn overlap_and_jaccard() {
-        let a = list(&[0, 1, 2], 6);
-        let b = list(&[2, 3, 4], 6);
-        assert_eq!(a.overlap(&b), 1);
-        assert!((a.jaccard(&b) - 0.2).abs() < 1e-12);
-        assert!((a.jaccard(&a) - 1.0).abs() < 1e-12);
-        let empty = list(&[], 6);
-        assert!((empty.jaccard(&empty) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -343,48 +269,5 @@ mod tests {
         assert!(a.kendall_with_penalty(&b, 0.0).is_err());
         let c = list(&[1], 3);
         assert!(a.kendall_with_penalty(&c, 0.6).is_err());
-    }
-
-    #[test]
-    fn footrule_full_lists_match_permutation_distance() {
-        let p1 = Permutation::from_order(vec![2, 0, 3, 1]).unwrap();
-        let p2 = Permutation::from_order(vec![1, 2, 0, 3]).unwrap();
-        let t1 = TopKList::from_permutation(&p1, 4);
-        let t2 = TopKList::from_permutation(&p2, 4);
-        let expect = distance::footrule(&p1, &p2).unwrap() as f64;
-        assert_eq!(t1.footrule_with_location(&t2, 99.0).unwrap(), expect);
-    }
-
-    #[test]
-    fn footrule_known_value_with_location() {
-        // τ1 = [0,1], τ2 = [1,0] over n=3, ℓ = 2:
-        // item 0: |0−1| = 1; item 1: |1−0| = 1 → 2.
-        let a = list(&[0, 1], 3);
-        let b = list(&[1, 0], 3);
-        assert_eq!(a.footrule_with_location(&b, 2.0).unwrap(), 2.0);
-        // disjoint singletons: each contributes |0 − ℓ| twice.
-        let c = list(&[0], 3);
-        let d = list(&[2], 3);
-        assert_eq!(c.footrule_with_location(&d, 1.0).unwrap(), 2.0);
-    }
-
-    #[test]
-    fn footrule_symmetric_and_zero_on_identity() {
-        let a = list(&[3, 0], 5);
-        let b = list(&[0, 4], 5);
-        assert_eq!(a.footrule_with_location(&a, 2.0).unwrap(), 0.0);
-        assert_eq!(
-            a.footrule_with_location(&b, 2.0).unwrap(),
-            b.footrule_with_location(&a, 2.0).unwrap()
-        );
-    }
-
-    #[test]
-    fn complete_appends_missing_ascending() {
-        let t = list(&[3, 1], 5);
-        assert_eq!(t.complete().as_order(), &[3, 1, 0, 2, 4]);
-        // completing a full list is the identity operation
-        let full = list(&[2, 1, 0], 3);
-        assert_eq!(full.complete().as_order(), &[2, 1, 0]);
     }
 }

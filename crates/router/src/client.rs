@@ -10,7 +10,7 @@
 //! engine's codec ([`fairrank_engine::http`]), so a backend response
 //! that breaks its framing rules is a transport error.
 //!
-//! Connections are retired after [`POOL_CONN_REQUESTS`] uses —
+//! Connections are retired after `POOL_CONN_REQUESTS` uses —
 //! deliberately below the backend's `--max-conn-requests` default
 //! (1024) so it is the router, not the backend, that decides where a
 //! connection ends, and a pooled stream is never stranded one write

@@ -16,8 +16,8 @@
 //! [`validate_prometheus_text`]: fairrank_engine::stats::validate_prometheus_text
 
 use crate::RouterCore;
+use fairrank_engine::num;
 use fairrank_engine::stats::{render_prometheus, MetricFamily, MetricSample, MetricValue};
-use std::fmt::Write as _;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
@@ -29,7 +29,39 @@ struct MergedFamily {
     /// `series → value`, where `series` is the full sample name
     /// including its label block (e.g. `x_bucket{route="rank",le="50"}`).
     order: Vec<String>,
-    values: Vec<f64>,
+    values: Vec<Value>,
+}
+
+/// A summed sample value. Integral samples (counters, gauges, bucket
+/// counts, `_sum`s) add up exactly as `u64`, like the engine renders
+/// them; anything else adds up as `f64`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Value {
+    Int(u64),
+    Float(f64),
+}
+
+impl Value {
+    fn parse(text: &str) -> Option<Value> {
+        match text.parse::<u64>() {
+            Ok(v) => Some(Value::Int(v)),
+            Err(_) => text.parse::<f64>().ok().map(Value::Float),
+        }
+    }
+
+    fn as_f64(self) -> f64 {
+        match self {
+            Value::Int(v) => v as f64,
+            Value::Float(x) => x,
+        }
+    }
+
+    fn add(self, other: Value) -> Value {
+        match (self, other) {
+            (Value::Int(a), Value::Int(b)) if a.checked_add(b).is_some() => Value::Int(a + b),
+            (a, b) => Value::Float(a.as_f64() + b.as_f64()),
+        }
+    }
 }
 
 /// Render the full cluster scrape into `out`.
@@ -49,7 +81,12 @@ pub fn render(core: &RouterCore, out: &mut String, scratch: &mut Vec<u8>) {
             }
         }
     }
-    for family in &families {
+    write_families(&families, out);
+}
+
+/// Render merged families in scrape order.
+fn write_families(families: &[MergedFamily], out: &mut String) {
+    for family in families {
         out.push_str(&family.help_line);
         out.push('\n');
         out.push_str(&family.type_line);
@@ -176,12 +213,12 @@ fn merge_scrape(families: &mut Vec<MergedFamily>, text: &str) {
                 continue;
             };
             let (series, value_text) = line.split_at(space);
-            let Ok(value) = value_text.trim().parse::<f64>() else {
+            let Some(value) = Value::parse(value_text.trim()) else {
                 continue;
             };
             let family = &mut families[index];
             match family.order.iter().position(|s| s == series) {
-                Some(sample) => family.values[sample] += value,
+                Some(sample) => family.values[sample] = family.values[sample].add(value),
                 None => {
                     family.order.push(series.to_string());
                     family.values.push(value);
@@ -201,13 +238,11 @@ fn family_name(family: &MergedFamily) -> &str {
 }
 
 /// Write a summed value the way the engine would: digit-exact for
-/// integral values (counters and buckets stay integers after
-/// summation), shortest-float otherwise.
-fn write_value(out: &mut String, value: f64) {
-    if value.fract() == 0.0 && value.abs() < 9.0e15 {
-        let _ = write!(out, "{}", value as i64);
-    } else {
-        let _ = write!(out, "{value}");
+/// integers, shortest round-trip decimal (`{}`) for floats.
+fn write_value(out: &mut String, value: Value) {
+    match value {
+        Value::Int(v) => num::write_u64(v, out),
+        Value::Float(x) => num::write_f64(x, out),
     }
 }
 
@@ -235,18 +270,7 @@ fairrank_request_latency_us_count 12
         merge_scrape(&mut families, SCRAPE);
         merge_scrape(&mut families, SCRAPE);
         let mut out = String::new();
-        for family in &families {
-            out.push_str(&family.help_line);
-            out.push('\n');
-            out.push_str(&family.type_line);
-            out.push('\n');
-            for (series, value) in family.order.iter().zip(&family.values) {
-                out.push_str(series);
-                out.push(' ');
-                write_value(&mut out, *value);
-                out.push('\n');
-            }
-        }
+        write_families(&families, &mut out);
         assert!(out.contains("fairrank_http_requests_total{route=\"rank\"} 20"));
         assert!(out.contains("fairrank_request_latency_us_bucket{le=\"+Inf\"} 24"));
         assert!(out.contains("fairrank_request_latency_us_count 24"));
@@ -256,9 +280,33 @@ fairrank_request_latency_us_count 12
     #[test]
     fn integral_values_render_without_decimals() {
         let mut out = String::new();
-        write_value(&mut out, 42.0);
+        write_value(&mut out, Value::Float(42.0));
         out.push(' ');
-        write_value(&mut out, 1.5);
+        write_value(&mut out, Value::Float(1.5));
         assert_eq!(out, "42 1.5");
+    }
+
+    #[test]
+    fn integral_samples_above_2_pow_53_sum_exactly() {
+        // 2^53 + 1 is the first integer an f64 cannot hold
+        let scrape = "\
+# HELP fairrank_http_requests_total Requests served.
+# TYPE fairrank_http_requests_total counter
+fairrank_http_requests_total{route=\"rank\"} 9007199254740993
+# HELP fairrank_uptime_seconds Uptime.
+# TYPE fairrank_uptime_seconds gauge
+fairrank_uptime_seconds 0.25
+";
+        let mut families = Vec::new();
+        merge_scrape(&mut families, scrape);
+        merge_scrape(&mut families, scrape);
+        let mut out = String::new();
+        write_families(&families, &mut out);
+        assert!(
+            out.contains("fairrank_http_requests_total{route=\"rank\"} 18014398509481986\n"),
+            "{out}"
+        );
+        assert!(out.contains("fairrank_uptime_seconds 0.5\n"), "{out}");
+        validate_prometheus_text(&out).expect("merged scrape must stay valid");
     }
 }

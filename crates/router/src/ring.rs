@@ -1,6 +1,6 @@
 //! Consistent-hash ring over backend addresses.
 //!
-//! Each backend contributes [`VNODES`] virtual points placed by
+//! Each backend contributes `VNODES` virtual points placed by
 //! hashing `addr#vnode`; a key is owned by the backend whose point is
 //! the key's clockwise successor. The classic properties follow
 //! directly from the construction and are pinned by
@@ -24,7 +24,7 @@
 /// bound holds with real margin. An 8-backend ring is 8 192 points —
 /// a rebuild is one sort, microseconds, and lookups stay a 13-step
 /// binary search.
-pub const VNODES: usize = 1024;
+const VNODES: usize = 1024;
 
 /// FNV-1a over `bytes` (same constants as the engine's digests).
 fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {

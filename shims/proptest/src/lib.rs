@@ -205,7 +205,7 @@ pub mod collection {
     use super::Strategy;
     use rand::rngs::StdRng;
 
-    /// Lengths accepted by [`vec`]: a fixed size or a size range.
+    /// Lengths accepted by [`vec()`]: a fixed size or a size range.
     pub trait IntoSizeRange {
         /// `(min, max)` inclusive bounds.
         fn size_bounds(self) -> (usize, usize);
@@ -243,7 +243,7 @@ pub mod collection {
         VecStrategy { element, min, max }
     }
 
-    /// Output of [`vec`].
+    /// Output of [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         min: usize,

@@ -111,10 +111,6 @@ pub enum PostProcessor {
 }
 
 impl PostProcessor {
-    /// Canonical names of every post-processing stage, in registry
-    /// order (shared by the CLI, the engine registry and the HTTP API).
-    pub const NAMES: [&'static str; 5] = ["none", "mallows", "gr-binary", "exact-kt", "ipf"];
-
     /// Canonical name of this stage.
     pub fn name(&self) -> &'static str {
         match self {
@@ -258,11 +254,6 @@ impl FairAggregationPipeline {
     /// The configured aggregation stage.
     pub fn aggregator(&self) -> Aggregator {
         self.aggregator
-    }
-
-    /// The configured post-processing stage.
-    pub fn post_processor(&self) -> &PostProcessor {
-        &self.post
     }
 
     /// Run the pipeline on a vote profile.
