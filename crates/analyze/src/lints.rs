@@ -86,13 +86,9 @@ impl LintConfig {
             channel_crates: ["fairrank_engine", "fairrank_router"]
                 .map(str::to_string)
                 .to_vec(),
-            metrics_sources: [
-                "crates/engine/src/lib.rs",
-                "crates/engine/src/stats.rs",
-                "crates/router/src/metrics.rs",
-            ]
-            .map(str::to_string)
-            .to_vec(),
+            metrics_sources: ["crates/engine/src/stats.rs", "crates/router/src/metrics.rs"]
+                .map(str::to_string)
+                .to_vec(),
             metrics_docs: ["docs/HTTP_API.md"].map(str::to_string).to_vec(),
             reference_dirs: ["perfbench/src", "perfbench/tests"]
                 .map(str::to_string)

@@ -2,9 +2,12 @@
 //! serve`, scrape `GET /metrics`, validate the Prometheus text format
 //! with the engine's strict checker, then send SIGTERM and watch the
 //! process drain and exit cleanly. This is the test the CI scrape step
-//! runs. A second test checks that the live server refuses jobs whose
-//! cost or metrics the registry's input checks rule out.
+//! runs. A second test checks that `/stats` is the unlabeled view of
+//! `/metrics` on the live server, and a third that the server refuses
+//! jobs whose cost or metrics the registry's input checks rule out.
 
+use fairrank_engine::json::Json;
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
@@ -104,6 +107,97 @@ fn serve_rejects_sparse_group_ids_and_overflowing_scores() {
     // the process survived every refusal
     let (status, _, body) = http(port, "GET", "/healthz", "");
     assert_eq!(status, 200, "{body}");
+    let _ = child.kill();
+    let _ = child.wait();
+}
+
+/// The unlabeled samples of the counter and gauge families of a
+/// `/metrics` document, by family name.
+fn unlabeled_counters_and_gauges(metrics: &str) -> HashMap<String, u64> {
+    let mut scalar_families = Vec::new();
+    let mut samples = HashMap::new();
+    for line in metrics.lines() {
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let (name, kind) = rest.split_once(' ').expect("TYPE line");
+            if kind != "histogram" {
+                scalar_families.push(name);
+            }
+        } else if !line.starts_with('#') && !line.contains('{') {
+            let (name, value) = line.split_once(' ').expect("sample line");
+            if scalar_families.contains(&name) {
+                if let Ok(value) = value.parse() {
+                    samples.insert(name.to_string(), value);
+                }
+            }
+        }
+    }
+    samples
+}
+
+#[test]
+fn serve_stats_is_the_unlabeled_view_of_metrics() {
+    let (mut child, port, _stdout) = spawn_serve(&[]);
+    let rank = r#"{"algorithm":"mallows","scores":[0.9,0.8,0.5,0.3],"groups":[0,0,1,1],"samples":10,"seed":3}"#;
+    for _ in 0..2 {
+        // the second one is a cache hit
+        let (status, _, body) = http(port, "POST", "/rank", rank);
+        assert_eq!(status, 200, "{body}");
+    }
+    let batch = r#"{"chunks":[{"route":"rank","algorithm":"weakly-fair","scores":[0.9,0.1],"groups":[0,1],"seed":1}]}"#;
+    let (status, _, accepted) = http(port, "POST", "/jobs", batch);
+    assert_eq!(status, 202, "{accepted}");
+    let id = Json::parse(&accepted)
+        .ok()
+        .and_then(|doc| doc.get("id").and_then(Json::as_u64))
+        .unwrap_or_else(|| panic!("bad submit response: {accepted}"));
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    loop {
+        let (_, _, body) = http(port, "GET", &format!("/jobs/{id}"), "");
+        if body.contains("\"status\":\"done\"") {
+            break;
+        }
+        assert!(std::time::Instant::now() < deadline, "{body}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    // the server counts its own requests, so /stats is checked against
+    // the scrapes just before and just after it
+    let scrape = || unlabeled_counters_and_gauges(&http(port, "GET", "/metrics", "").2);
+    let before = scrape();
+    let (status, _, stats) = http(port, "GET", "/stats", "");
+    assert_eq!(status, 200, "{stats}");
+    let after = scrape();
+    let Ok(Json::Object(stats)) = Json::parse(&stats) else {
+        panic!("/stats is not a JSON object: {stats}");
+    };
+    for (key, value) in &stats {
+        if ["latency_p50_us", "latency_p99_us", "uptime_seconds"].contains(&key.as_str()) {
+            continue;
+        }
+        let family = [format!("fairrank_{key}"), format!("fairrank_{key}_total")]
+            .into_iter()
+            .find(|name| before.contains_key(name))
+            .unwrap_or_else(|| panic!("no /metrics family for /stats key `{key}`"));
+        let value = value.as_u64().expect("integer /stats value");
+        let (a, b) = (before[&family], after[&family]);
+        assert!(
+            a.min(b) <= value && value <= a.max(b),
+            "`{key}` = {value}, `{family}` went {a} → {b}"
+        );
+    }
+    for family in before.keys() {
+        let Some(key) = family.strip_prefix("fairrank_") else {
+            continue;
+        };
+        let key = key.strip_suffix("_total").unwrap_or(key);
+        assert!(
+            stats.iter().any(|(k, _)| k == key),
+            "no /stats key for `{family}`"
+        );
+    }
+    let stat = |key: &str| stats.iter().find(|(k, _)| k == key).unwrap().1.as_u64();
+    assert_eq!(stat("cache_hits"), Some(1));
+    assert_eq!(stat("jobs_completed"), Some(1));
     let _ = child.kill();
     let _ = child.wait();
 }

@@ -65,9 +65,7 @@ use cache::ShardedLru;
 use job::{RankJob, RankResult};
 use pool::{SubmitError, WorkerPool};
 use registry::Registry;
-use stats::{
-    EngineStats, JobOrigin, LatencyHistogram, MetricFamily, MetricSample, MetricValue, RouteClass,
-};
+use stats::{EngineStats, JobOrigin, LatencyHistogram};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -362,241 +360,20 @@ impl Engine {
         &self.batch_pool
     }
 
-    /// Snapshot of the stats JSON served at `GET /stats`.
+    /// Snapshot of the stats JSON served at `GET /stats`: every
+    /// unlabeled `fairrank_*` counter and gauge of
+    /// [`stats::ENGINE_METRICS`], keyed by its family name minus
+    /// `fairrank_` and `_total`, plus the request-latency quantiles
+    /// `latency_p50_us` and `latency_p99_us`.
     pub fn stats_json(&self) -> json::Json {
-        self.stats.to_json(
-            self.cache.len(),
-            self.cache.capacity(),
-            self.pool.workers(),
-            &self.exec.tables,
-            &self.jobs,
-        )
+        stats::stats_view(self)
     }
 
     /// Render the Prometheus text document served at `GET /metrics`
-    /// into `out` (appending): every `/stats` counter as an exact
-    /// integer, queue/cache gauges, readiness, and the per-route and
-    /// per-algorithm latency histograms with cumulative buckets.
+    /// into `out` (appending): every family of
+    /// [`stats::ENGINE_METRICS`], in table order.
     pub fn render_metrics(&self, out: &mut String) {
-        let s = &self.stats;
-        let read = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
-        let (jobs_queued, jobs_running, jobs_completed, jobs_failed, jobs_cancelled, high_water) =
-            self.jobs.counters();
-        let route_samples: Vec<MetricSample<'_>> = RouteClass::ALL
-            .iter()
-            .map(|&route| MetricSample {
-                labels: vec![("route", route.as_str())],
-                value: MetricValue::Histogram(s.route_latency(route)),
-            })
-            .collect();
-        let algo_samples: Vec<MetricSample<'_>> = self
-            .algo_latency
-            .iter()
-            .map(|a| MetricSample {
-                labels: vec![("algorithm", a.name.as_str())],
-                value: MetricValue::Histogram(&a.service),
-            })
-            .collect();
-        let algo_queue_samples: Vec<MetricSample<'_>> = self
-            .algo_latency
-            .iter()
-            .map(|a| MetricSample {
-                labels: vec![("algorithm", a.name.as_str())],
-                value: MetricValue::Histogram(&a.queue_wait),
-            })
-            .collect();
-        let origin_samples = |pick: fn(&EngineStats, JobOrigin) -> &LatencyHistogram| {
-            JobOrigin::ALL
-                .iter()
-                .map(|&origin| MetricSample {
-                    labels: vec![("route", origin.as_str())],
-                    value: MetricValue::Histogram(pick(s, origin)),
-                })
-                .collect::<Vec<_>>()
-        };
-        let scalar = MetricFamily::scalar;
-        let mut families = vec![
-            scalar(
-                "fairrank_uptime_seconds",
-                "Seconds since the engine started",
-                MetricValue::GaugeF64(s.uptime_seconds()),
-            ),
-            scalar(
-                "fairrank_ready",
-                "1 while serving, 0 once draining has begun",
-                MetricValue::Gauge(u64::from(!self.is_draining())),
-            ),
-            scalar(
-                "fairrank_workers",
-                "Worker threads executing chunks",
-                MetricValue::Gauge(self.pool.workers() as u64),
-            ),
-            scalar(
-                "fairrank_workers_busy",
-                "Worker threads currently executing a chunk",
-                MetricValue::Gauge(self.pool.busy()),
-            ),
-            scalar(
-                "fairrank_cache_hits_total",
-                "Chunks served from the result cache",
-                MetricValue::Counter(read(&s.cache_hits)),
-            ),
-            scalar(
-                "fairrank_cache_misses_total",
-                "Chunks that had to be executed",
-                MetricValue::Counter(read(&s.cache_misses)),
-            ),
-            scalar(
-                "fairrank_cache_entries",
-                "Result-cache entries currently stored",
-                MetricValue::Gauge(self.cache.len() as u64),
-            ),
-            scalar(
-                "fairrank_cache_capacity",
-                "Result-cache capacity",
-                MetricValue::Gauge(self.cache.capacity() as u64),
-            ),
-            scalar(
-                "fairrank_sampler_table_hits_total",
-                "Sampler-table cache hits",
-                MetricValue::Counter(self.exec.tables.hits()),
-            ),
-            scalar(
-                "fairrank_sampler_table_misses_total",
-                "Sampler-table cache misses (table builds)",
-                MetricValue::Counter(self.exec.tables.misses()),
-            ),
-            scalar(
-                "fairrank_sampler_table_entries",
-                "Sampler tables currently cached",
-                MetricValue::Gauge(self.exec.tables.len() as u64),
-            ),
-            scalar(
-                "fairrank_chunks_executed_total",
-                "Chunks completed successfully on a worker",
-                MetricValue::Counter(read(&s.chunks_executed)),
-            ),
-            scalar(
-                "fairrank_chunks_failed_total",
-                "Chunks whose algorithm returned an error",
-                MetricValue::Counter(read(&s.chunks_failed)),
-            ),
-            scalar(
-                "fairrank_criterion_samples_abandoned_total",
-                "Mallows samples dropped by the exact early-abandon bound",
-                MetricValue::Counter(read(&s.criterion_samples_abandoned)),
-            ),
-            scalar(
-                "fairrank_chunks_coalesced_total",
-                "Submissions coalesced onto an identical in-flight chunk",
-                MetricValue::Counter(read(&s.chunks_coalesced)),
-            ),
-            scalar(
-                "fairrank_queue_rejections_total",
-                "Chunks shed because the bounded queue was full",
-                MetricValue::Counter(read(&s.queue_rejections)),
-            ),
-            scalar(
-                "fairrank_jobs_queued",
-                "Batch jobs waiting for a runner",
-                MetricValue::Gauge(jobs_queued),
-            ),
-            scalar(
-                "fairrank_jobs_running",
-                "Batch jobs currently executing",
-                MetricValue::Gauge(jobs_running),
-            ),
-            scalar(
-                "fairrank_jobs_completed_total",
-                "Batch jobs finished with every chunk successful",
-                MetricValue::Counter(jobs_completed),
-            ),
-            scalar(
-                "fairrank_jobs_failed_total",
-                "Batch jobs stopped on a chunk error",
-                MetricValue::Counter(jobs_failed),
-            ),
-            scalar(
-                "fairrank_jobs_cancelled_total",
-                "Batch jobs cancelled before completion",
-                MetricValue::Counter(jobs_cancelled),
-            ),
-            scalar(
-                "fairrank_jobs_queue_high_water",
-                "Highest simultaneous batch-queue depth observed",
-                MetricValue::Gauge(high_water),
-            ),
-            scalar(
-                "fairrank_jobs_stored",
-                "Batch jobs (any state) held for polling",
-                MetricValue::Gauge(self.jobs.len() as u64),
-            ),
-            scalar(
-                "fairrank_http_requests_total",
-                "HTTP requests parsed",
-                MetricValue::Counter(read(&s.http_requests)),
-            ),
-            scalar(
-                "fairrank_http_errors_total",
-                "HTTP responses with a 4xx/5xx status",
-                MetricValue::Counter(read(&s.http_errors)),
-            ),
-            scalar(
-                "fairrank_connections_total",
-                "Connections accepted by the listener",
-                MetricValue::Counter(read(&s.connections)),
-            ),
-            scalar(
-                "fairrank_rejected_connections_total",
-                "Connections shed with 503: with Retry-After when the backlog is full, without it while draining",
-                MetricValue::Counter(read(&s.rejected_connections)),
-            ),
-            MetricFamily {
-                name: "fairrank_http_request_duration_us",
-                help:
-                    "Per-route service latency in microseconds (request parsed to response written)",
-                samples: route_samples,
-            },
-            MetricFamily {
-                name: "fairrank_queue_wait_us",
-                help: "Time chunks sat in the bounded worker-pool queue, in microseconds, \
-                       by submission route (measured where the pool dequeues)",
-                samples: origin_samples(EngineStats::queue_wait),
-            },
-            MetricFamily {
-                name: "fairrank_service_us",
-                help: "Algorithm execution time in microseconds, by submission route",
-                samples: origin_samples(EngineStats::service),
-            },
-            MetricFamily {
-                name: "fairrank_algorithm_duration_us",
-                help: "Per-algorithm execution latency in microseconds, over the worker pool",
-                samples: algo_samples,
-            },
-            MetricFamily {
-                name: "fairrank_algorithm_queue_wait_us",
-                help: "Per-algorithm worker-pool queue wait in microseconds",
-                samples: algo_queue_samples,
-            },
-            scalar(
-                "process_uptime_seconds",
-                "Seconds since the engine process started",
-                MetricValue::GaugeF64(s.uptime_seconds()),
-            ),
-        ];
-        if let Some(process) = stats::process_self_metrics() {
-            families.push(scalar(
-                "process_resident_memory_bytes",
-                "Resident set size from /proc/self/status",
-                MetricValue::Gauge(process.rss_bytes),
-            ));
-            families.push(scalar(
-                "process_open_fds",
-                "Open file descriptors from /proc/self/fd",
-                MetricValue::Gauge(process.open_fds),
-            ));
-        }
-        stats::render_prometheus(&families, out);
+        stats::render_prometheus(stats::ENGINE_METRICS, self, out);
     }
 
     /// Submit a job and wait for its result.
@@ -1026,6 +803,168 @@ mod tests {
         release_tx.send(()).unwrap();
         runner.join().unwrap();
         queued.join().unwrap();
+    }
+
+    /// `GET /metrics` for a fixed engine state, with the four lines
+    /// that read the clock or `/proc` masked.
+    fn fixed_state_metrics() -> String {
+        use crate::stats::{JobOrigin, RouteClass};
+        let e = Engine::new(EngineConfig {
+            workers: 2,
+            cache_capacity: 8,
+            table_cache_capacity: 16,
+            cache_shards: 1,
+            ..EngineConfig::default()
+        });
+        let s = e.stats();
+        // distinct values, so a row reading the wrong counter shows
+        let counters = [
+            &s.cache_hits,
+            &s.cache_misses,
+            &s.chunks_executed,
+            &s.chunks_failed,
+            &s.criterion_samples_abandoned,
+            &s.chunks_coalesced,
+            &s.queue_rejections,
+            &s.http_requests,
+            &s.http_errors,
+            &s.connections,
+            &s.rejected_connections,
+        ];
+        for (i, counter) in counters.iter().enumerate() {
+            counter.fetch_add(i as u64 + 1, Ordering::Relaxed);
+        }
+        // above 2^53, where an f64 round-trip would lose the last digit
+        s.http_requests.fetch_add(1 << 53, Ordering::Relaxed);
+        for key in 0..3 {
+            let result = RankResult {
+                algorithm: "borda".to_string(),
+                ranking: vec![0],
+                consensus: None,
+                metrics: vec![],
+            };
+            e.cache.insert(key, Arc::new(result));
+        }
+        for (n, theta) in [(10, 1.0), (10, 1.0), (12, 0.5)] {
+            e.exec.tables.get_or_build(n, theta).unwrap();
+        }
+        for (i, route) in RouteClass::ALL.iter().enumerate() {
+            s.route_latency(*route).record_micros(10 * i as u64 + 3);
+        }
+        for (i, origin) in JobOrigin::ALL.iter().enumerate() {
+            s.queue_wait(*origin).record_micros(100 * i as u64);
+            s.service(*origin).record_micros(1000 * i as u64 + 7);
+        }
+        for (i, algo) in e.algo_latency.iter().enumerate() {
+            algo.service.record_micros(5000 + 300 * i as u64);
+            algo.queue_wait.record_micros(i as u64);
+        }
+        let mut out = String::new();
+        e.render_metrics(&mut out);
+        let masked = [
+            "fairrank_uptime_seconds ",
+            "process_uptime_seconds ",
+            "process_resident_memory_bytes ",
+            "process_open_fds ",
+        ];
+        out.lines()
+            .map(|line| match masked.iter().find(|m| line.starts_with(**m)) {
+                Some(prefix) => format!("{prefix}<masked>\n"),
+                None => format!("{line}\n"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn metrics_render_matches_the_golden_document() {
+        let expected = include_str!("../tests/fixtures/metrics.golden.prom");
+        let actual = fixed_state_metrics();
+        // line by line first, for a readable failure
+        for (n, (a, b)) in actual.lines().zip(expected.lines()).enumerate() {
+            assert_eq!(a, b, "line {}", n + 1);
+        }
+        assert_eq!(actual, expected);
+    }
+
+    #[test]
+    fn stats_is_the_unlabeled_view_of_metrics() {
+        let e = engine();
+        // ranks, one of them repeated (a cache hit), a mallows rank
+        // (sampler table, early-abandon counter) and a /jobs batch
+        e.submit(borda_job(1)).unwrap();
+        e.submit(borda_job(1)).unwrap();
+        let mallows = RankJob {
+            algorithm: "mallows".to_string(),
+            input: JobInput::Scores {
+                scores: vec![0.9, 0.8, 0.5, 0.3, 0.2, 0.1],
+                groups: vec![0, 0, 1, 1, 0, 1],
+            },
+            params: JobParams {
+                samples: 20,
+                seed: 5,
+                ..JobParams::default()
+            },
+        };
+        e.submit(mallows).unwrap();
+        let chunks = vec![borda_job(2), borda_job(3)];
+        e.submit_batch(batch::BatchSpec { chunks }).unwrap().wait();
+        // the counters settle just after the waiters are woken
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while e.jobs.counters().2 != 1 || e.pool.busy() != 0 {
+            assert!(Instant::now() < deadline, "{}", e.stats_json());
+            std::thread::yield_now();
+        }
+
+        let mut metrics = String::new();
+        e.render_metrics(&mut metrics);
+        let json::Json::Object(stats) = e.stats_json() else {
+            panic!("/stats must be an object");
+        };
+        let mut types = HashMap::new();
+        let mut unlabeled = HashMap::new();
+        for line in metrics.lines() {
+            if let Some(rest) = line.strip_prefix("# TYPE ") {
+                let (name, kind) = rest.split_once(' ').unwrap();
+                types.insert(name, kind);
+            } else if !line.starts_with('#') && !line.contains('{') {
+                let (name, value) = line.split_once(' ').unwrap();
+                unlabeled.insert(name, value);
+            }
+        }
+        let family_of = |key: &str| {
+            [format!("fairrank_{key}"), format!("fairrank_{key}_total")]
+                .into_iter()
+                .find(|name| unlabeled.contains_key(name.as_str()))
+        };
+        for (key, value) in &stats {
+            if ["latency_p50_us", "latency_p99_us", "uptime_seconds"].contains(&key.as_str()) {
+                continue;
+            }
+            let family = family_of(key).unwrap_or_else(|| panic!("no family for `{key}`"));
+            assert_eq!(
+                unlabeled[family.as_str()],
+                value.to_string(),
+                "`{key}` vs `{family}`"
+            );
+        }
+        for (name, kind) in &types {
+            let Some(key) = name.strip_prefix("fairrank_") else {
+                continue;
+            };
+            if *kind == "histogram" || !unlabeled.contains_key(name) {
+                continue;
+            }
+            let key = key.strip_suffix("_total").unwrap_or(key);
+            assert!(
+                stats.iter().any(|(k, _)| k == key),
+                "no /stats key for {name}"
+            );
+        }
+        // the traffic reached the counters the test compares
+        let stat = |key: &str| stats.iter().find(|(k, _)| k == key).unwrap().1.to_string();
+        assert_eq!(stat("cache_hits"), "1");
+        assert_eq!(stat("jobs_completed"), "1");
+        assert_eq!(stat("sampler_table_misses"), "1");
     }
 
     #[test]

@@ -573,7 +573,6 @@ fn handle_connection(
         stream.write_all(&scratch.out)?;
         let write_us = duration_us(write_started.elapsed());
         let elapsed = started.elapsed();
-        stats.latency.record(elapsed);
         stats.route_latency(route).record(elapsed);
         let spans = &scratch.trace.spans;
         engine.flight_recorder().record(&Trace {

@@ -1,26 +1,28 @@
 //! Engine-wide observability: counters, gauges and lock-free latency
-//! histograms, exported as JSON over `GET /stats` and as Prometheus
-//! text format over `GET /metrics`.
-//!
-//! The module is organized as a small labeled metrics registry:
+//! histograms, and the metric table that exports them as Prometheus
+//! text over `GET /metrics` and as JSON over `GET /stats`.
 //!
 //! * [`LatencyHistogram`] — the lock-free log-scale histogram used for
-//!   the global, per-route and per-algorithm latency series, with
-//!   cumulative-bucket export (`LatencyHistogram::cumulative_le`)
-//!   for the Prometheus `_bucket{le=…}` convention;
+//!   the per-route, per-origin and per-algorithm latency series, with
+//!   cumulative-bucket export for the Prometheus `_bucket{le=…}`
+//!   convention;
 //! * [`EngineStats`] — the engine's counter block, including one
 //!   histogram per [`RouteClass`];
-//! * [`MetricFamily`] / [`render_prometheus`] — the exposition-format
-//!   renderer: `# HELP`/`# TYPE` headers, exact `u64` values (no `f64`
-//!   round-trip, so counters above 2^53 render digit-exact), labeled
-//!   series, and cumulative histogram buckets;
+//! * [`MetricDef`] / [`ENGINE_METRICS`] — the metric table: one row per
+//!   family with its name, help text, kind, reader and the router's
+//!   [`Merge`] rule. `GET /metrics` renders it, `GET /stats` is derived
+//!   from it, and `fairrank router` renders its own table and merges
+//!   backend scrapes by its rules;
+//! * [`render_prometheus`] — the exposition-format renderer: `# HELP`/
+//!   `# TYPE` headers, exact `u64` values (no `f64` round-trip, so
+//!   counters above 2^53 render digit-exact), labeled series, and
+//!   cumulative histogram buckets;
 //! * [`validate_prometheus_text`] — a strict checker used by the
 //!   integration tests and the CI scrape step.
 
-use crate::batch::JobStore;
 use crate::json::Json;
 use crate::num;
-use crate::tables::TableCache;
+use crate::Engine;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -74,28 +76,9 @@ impl LatencyHistogram {
         self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
-    /// Approximate `q`-quantile (`0 < q ≤ 1`) in microseconds; 0 when
-    /// nothing has been recorded. Accurate to the bucket resolution
-    /// (≤ 12.5 % above 8 µs).
-    fn quantile_micros(&self, q: f64) -> u64 {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((total as f64 * q.clamp(0.0, 1.0)).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (idx, &count) in counts.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                return bucket_midpoint(idx);
-            }
-        }
-        bucket_midpoint(BUCKETS - 1)
+    /// A snapshot of the bucket counts.
+    fn counts(&self) -> [u64; BUCKETS] {
+        std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
     }
 
     /// Cumulative counts at the given inclusive upper bounds (µs),
@@ -107,11 +90,7 @@ impl LatencyHistogram {
     /// defaults) are **exact** — the count at such an `le` is
     /// precisely the number of samples ≤ `le`.
     fn cumulative_le(&self, bounds_us: &[u64]) -> (Vec<u64>, u64) {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
+        let counts = self.counts();
         let mut cums = Vec::with_capacity(bounds_us.len());
         let mut acc = 0u64;
         let mut idx = 0usize;
@@ -142,6 +121,25 @@ impl Default for LatencyHistogram {
     fn default() -> Self {
         LatencyHistogram::new()
     }
+}
+
+/// Approximate `q`-quantile (`0 < q ≤ 1`), in microseconds, of the
+/// samples counted in `counts`; 0 when there are none. Accurate to the
+/// bucket resolution (≤ 12.5 % above 8 µs).
+fn quantile_micros(counts: &[u64; BUCKETS], q: f64) -> u64 {
+    let total: u64 = counts.iter().sum();
+    if total == 0 {
+        return 0;
+    }
+    let rank = ((total as f64 * q.clamp(0.0, 1.0)).ceil() as u64).max(1);
+    let mut seen = 0u64;
+    for (idx, &count) in counts.iter().enumerate() {
+        seen += count;
+        if seen >= rank {
+            return bucket_midpoint(idx);
+        }
+    }
+    bucket_midpoint(BUCKETS - 1)
 }
 
 fn bucket_index(v: u64) -> usize {
@@ -333,10 +331,8 @@ pub struct EngineStats {
     /// Connections shed with `503`: with `Retry-After` because the
     /// pending-connection queue was full, without it while draining.
     pub rejected_connections: AtomicU64,
-    /// Per-request service latency (request parsed → response
-    /// written).
-    pub latency: LatencyHistogram,
-    /// Per-route service latency, indexed by [`RouteClass`].
+    /// Per-route service latency (request parsed → response written),
+    /// indexed by [`RouteClass`].
     route_latency: [LatencyHistogram; RouteClass::ALL.len()],
     /// Time chunks sat in the bounded worker-pool queue, indexed by
     /// [`JobOrigin`] (measured where the pool dequeues).
@@ -361,7 +357,6 @@ impl EngineStats {
             http_errors: AtomicU64::new(0),
             connections: AtomicU64::new(0),
             rejected_connections: AtomicU64::new(0),
-            latency: LatencyHistogram::new(),
             route_latency: std::array::from_fn(|_| LatencyHistogram::new()),
             queue_wait: std::array::from_fn(|_| LatencyHistogram::new()),
             service: std::array::from_fn(|_| LatencyHistogram::new()),
@@ -389,60 +384,22 @@ impl EngineStats {
     }
 
     /// Seconds since the engine was built.
-    pub fn uptime_seconds(&self) -> f64 {
+    fn uptime_seconds(&self) -> f64 {
         self.started.elapsed().as_secs_f64()
     }
 
-    /// Snapshot as the `GET /stats` JSON body. The sampler-table cache
-    /// and the batch-job store keep their own counters (they are
-    /// shared below the chunk layer), so they are read here rather
-    /// than mirrored.
-    pub fn to_json(
-        &self,
-        cache_len: usize,
-        cache_capacity: usize,
-        workers: usize,
-        tables: &TableCache,
-        jobs: &JobStore,
-    ) -> Json {
-        // counters go through `Json::Integer`, not `Json::Number`:
-        // the f64 path would silently round values above 2^53
-        let read = |c: &AtomicU64| Json::Integer(c.load(Ordering::Relaxed));
-        let int = |v: u64| Json::Integer(v);
-        let (jobs_queued, jobs_running, jobs_completed, jobs_failed, jobs_cancelled, high_water) =
-            jobs.counters();
-        Json::object(vec![
-            ("uptime_seconds", Json::Number(self.uptime_seconds())),
-            ("workers", int(workers as u64)),
-            ("cache_hits", read(&self.cache_hits)),
-            ("cache_misses", read(&self.cache_misses)),
-            ("cache_entries", int(cache_len as u64)),
-            ("cache_capacity", int(cache_capacity as u64)),
-            ("sampler_table_hits", int(tables.hits())),
-            ("sampler_table_misses", int(tables.misses())),
-            ("sampler_table_entries", int(tables.len() as u64)),
-            ("chunks_executed", read(&self.chunks_executed)),
-            ("chunks_failed", read(&self.chunks_failed)),
-            (
-                "criterion_samples_abandoned",
-                read(&self.criterion_samples_abandoned),
-            ),
-            ("chunks_coalesced", read(&self.chunks_coalesced)),
-            ("queue_rejections", read(&self.queue_rejections)),
-            ("jobs_queued", int(jobs_queued)),
-            ("jobs_running", int(jobs_running)),
-            ("jobs_completed", int(jobs_completed)),
-            ("jobs_failed", int(jobs_failed)),
-            ("jobs_cancelled", int(jobs_cancelled)),
-            ("jobs_queue_high_water", int(high_water)),
-            ("jobs_stored", int(jobs.len() as u64)),
-            ("http_requests", read(&self.http_requests)),
-            ("http_errors", read(&self.http_errors)),
-            ("connections", read(&self.connections)),
-            ("rejected_connections", read(&self.rejected_connections)),
-            ("latency_p50_us", int(self.latency.quantile_micros(0.50))),
-            ("latency_p99_us", int(self.latency.quantile_micros(0.99))),
-        ])
+    /// Approximate `q`-quantile of request latency in microseconds,
+    /// over every route: each request is recorded under exactly one
+    /// [`RouteClass`], so the route histograms summed bucket by bucket
+    /// hold every request once.
+    fn request_latency_us(&self, q: f64) -> u64 {
+        let mut counts = [0u64; BUCKETS];
+        for histogram in &self.route_latency {
+            for (total, count) in counts.iter_mut().zip(histogram.counts()) {
+                *total += count;
+            }
+        }
+        quantile_micros(&counts, q)
     }
 }
 
@@ -477,7 +434,7 @@ impl MetricValue<'_> {
     }
 }
 
-/// One labeled sample inside a [`MetricFamily`].
+/// One sample of a family: a value plus its labels.
 pub struct MetricSample<'a> {
     /// `label="value"` pairs rendered inside `{…}` (empty for
     /// unlabeled metrics).
@@ -486,29 +443,330 @@ pub struct MetricSample<'a> {
     pub value: MetricValue<'a>,
 }
 
-/// A named family of samples sharing one `# HELP`/`# TYPE` header —
-/// the unit of the labeled metrics registry behind `GET /metrics`.
-pub struct MetricFamily<'a> {
-    /// Metric name (`fairrank_…`).
-    pub name: &'static str,
-    /// One-line human description.
-    pub help: &'static str,
-    /// The labeled samples. Every sample must be the same value kind.
-    pub samples: Vec<MetricSample<'a>>,
+/// How a [`MetricDef`] reads its family out of the process state `S`.
+/// The variant is the family's kind; each scalar kind is one unlabeled
+/// sample.
+pub enum Reader<S> {
+    /// A monotonic counter.
+    Counter(fn(&S) -> u64),
+    /// An integer gauge.
+    Gauge(fn(&S) -> u64),
+    /// A float gauge.
+    GaugeF64(fn(&S) -> f64),
+    /// Any number of samples of one kind: labeled series, histograms,
+    /// or a gauge that may be unavailable. No samples leaves the family
+    /// out of the document.
+    Samples(for<'a> fn(&'a S) -> Vec<MetricSample<'a>>),
 }
 
-impl<'a> MetricFamily<'a> {
-    /// A single-sample unlabeled family.
-    pub fn scalar(name: &'static str, help: &'static str, value: MetricValue<'a>) -> Self {
-        MetricFamily {
+impl<S> Reader<S> {
+    /// The family's samples, read now.
+    fn samples<'a>(&self, state: &'a S) -> Vec<MetricSample<'a>> {
+        let value = match self {
+            Reader::Counter(read) => MetricValue::Counter(read(state)),
+            Reader::Gauge(read) => MetricValue::Gauge(read(state)),
+            Reader::GaugeF64(read) => MetricValue::GaugeF64(read(state)),
+            Reader::Samples(read) => return read(state),
+        };
+        vec![MetricSample {
+            labels: Vec::new(),
+            value,
+        }]
+    }
+}
+
+/// How `fairrank router` folds one family's samples from several
+/// backend scrapes into the cluster document.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Merge {
+    /// Add them up (counters, gauges, histogram buckets): the cluster
+    /// total.
+    Sum,
+    /// Keep the largest (uptime): adding two replicas' uptimes means
+    /// nothing.
+    Max,
+}
+
+/// One row of a metric table: everything `GET /metrics`, `GET /stats`
+/// and the router's scrape merge know about one family.
+pub struct MetricDef<S> {
+    /// Family name (`fairrank_…` or `process_…`).
+    pub name: &'static str,
+    /// One-line description, the `# HELP` text.
+    pub help: &'static str,
+    /// The family's kind and how to read it.
+    pub read: Reader<S>,
+    /// How the router merges it across backends.
+    pub merge: Merge,
+}
+
+impl<S> MetricDef<S> {
+    /// A row merged by [`Merge::Sum`].
+    pub const fn new(name: &'static str, help: &'static str, read: Reader<S>) -> Self {
+        MetricDef {
             name,
             help,
-            samples: vec![MetricSample {
-                labels: Vec::new(),
-                value,
-            }],
+            read,
+            merge: Merge::Sum,
         }
     }
+}
+
+fn load(counter: &AtomicU64) -> u64 {
+    counter.load(Ordering::Relaxed)
+}
+
+/// One histogram sample per item, labeled `label`: `series` gives each
+/// item's label value and histogram.
+fn histograms<'a, T>(
+    label: &'static str,
+    items: impl IntoIterator<Item = T>,
+    series: impl Fn(T) -> (&'a str, &'a LatencyHistogram),
+) -> Vec<MetricSample<'a>> {
+    items
+        .into_iter()
+        .map(|item| {
+            let (value, histogram) = series(item);
+            MetricSample {
+                labels: vec![(label, value)],
+                value: MetricValue::Histogram(histogram),
+            }
+        })
+        .collect()
+}
+
+/// One unlabeled gauge sample, or none when the value is unavailable.
+fn optional_gauge<'a>(value: Option<u64>) -> Vec<MetricSample<'a>> {
+    value
+        .map(|v| MetricSample {
+            labels: Vec::new(),
+            value: MetricValue::Gauge(v),
+        })
+        .into_iter()
+        .collect()
+}
+
+/// The engine's metric table: every family of `GET /metrics`, in
+/// document order. `GET /stats` is derived from it (see
+/// [`Engine::stats_json`]), and `fairrank router` merges backend
+/// scrapes by its [`Merge`] rules.
+pub static ENGINE_METRICS: &[MetricDef<Engine>] = &[
+    MetricDef {
+        merge: Merge::Max,
+        ..MetricDef::new(
+            "fairrank_uptime_seconds",
+            "Seconds since the engine started",
+            Reader::GaugeF64(|e| e.stats.uptime_seconds()),
+        )
+    },
+    MetricDef::new(
+        "fairrank_ready",
+        "1 while serving, 0 once draining has begun",
+        Reader::Gauge(|e| u64::from(!e.is_draining())),
+    ),
+    MetricDef::new(
+        "fairrank_workers",
+        "Worker threads executing chunks",
+        Reader::Gauge(|e| e.pool.workers() as u64),
+    ),
+    MetricDef::new(
+        "fairrank_workers_busy",
+        "Worker threads currently executing a chunk",
+        Reader::Gauge(|e| e.pool.busy()),
+    ),
+    MetricDef::new(
+        "fairrank_cache_hits_total",
+        "Chunks served from the result cache",
+        Reader::Counter(|e| load(&e.stats.cache_hits)),
+    ),
+    MetricDef::new(
+        "fairrank_cache_misses_total",
+        "Chunks that had to be executed",
+        Reader::Counter(|e| load(&e.stats.cache_misses)),
+    ),
+    MetricDef::new(
+        "fairrank_cache_entries",
+        "Result-cache entries currently stored",
+        Reader::Gauge(|e| e.cache.len() as u64),
+    ),
+    MetricDef::new(
+        "fairrank_cache_capacity",
+        "Result-cache capacity",
+        Reader::Gauge(|e| e.cache.capacity() as u64),
+    ),
+    MetricDef::new(
+        "fairrank_sampler_table_hits_total",
+        "Sampler-table cache hits",
+        Reader::Counter(|e| e.exec.tables.hits()),
+    ),
+    MetricDef::new(
+        "fairrank_sampler_table_misses_total",
+        "Sampler-table cache misses (table builds)",
+        Reader::Counter(|e| e.exec.tables.misses()),
+    ),
+    MetricDef::new(
+        "fairrank_sampler_table_entries",
+        "Sampler tables currently cached",
+        Reader::Gauge(|e| e.exec.tables.len() as u64),
+    ),
+    MetricDef::new(
+        "fairrank_chunks_executed_total",
+        "Chunks completed successfully on a worker",
+        Reader::Counter(|e| load(&e.stats.chunks_executed)),
+    ),
+    MetricDef::new(
+        "fairrank_chunks_failed_total",
+        "Chunks whose algorithm returned an error",
+        Reader::Counter(|e| load(&e.stats.chunks_failed)),
+    ),
+    MetricDef::new(
+        "fairrank_criterion_samples_abandoned_total",
+        "Mallows samples dropped by the exact early-abandon bound",
+        Reader::Counter(|e| load(&e.stats.criterion_samples_abandoned)),
+    ),
+    MetricDef::new(
+        "fairrank_chunks_coalesced_total",
+        "Submissions coalesced onto an identical in-flight chunk",
+        Reader::Counter(|e| load(&e.stats.chunks_coalesced)),
+    ),
+    MetricDef::new(
+        "fairrank_queue_rejections_total",
+        "Chunks shed because the bounded queue was full",
+        Reader::Counter(|e| load(&e.stats.queue_rejections)),
+    ),
+    MetricDef::new(
+        "fairrank_jobs_queued",
+        "Batch jobs waiting for a runner",
+        Reader::Gauge(|e| e.jobs.counters().0),
+    ),
+    MetricDef::new(
+        "fairrank_jobs_running",
+        "Batch jobs currently executing",
+        Reader::Gauge(|e| e.jobs.counters().1),
+    ),
+    MetricDef::new(
+        "fairrank_jobs_completed_total",
+        "Batch jobs finished with every chunk successful",
+        Reader::Counter(|e| e.jobs.counters().2),
+    ),
+    MetricDef::new(
+        "fairrank_jobs_failed_total",
+        "Batch jobs stopped on a chunk error",
+        Reader::Counter(|e| e.jobs.counters().3),
+    ),
+    MetricDef::new(
+        "fairrank_jobs_cancelled_total",
+        "Batch jobs cancelled before completion",
+        Reader::Counter(|e| e.jobs.counters().4),
+    ),
+    MetricDef::new(
+        "fairrank_jobs_queue_high_water",
+        "Highest simultaneous batch-queue depth observed",
+        Reader::Gauge(|e| e.jobs.counters().5),
+    ),
+    MetricDef::new(
+        "fairrank_jobs_stored",
+        "Batch jobs (any state) held for polling",
+        Reader::Gauge(|e| e.jobs.len() as u64),
+    ),
+    MetricDef::new(
+        "fairrank_http_requests_total",
+        "HTTP requests parsed",
+        Reader::Counter(|e| load(&e.stats.http_requests)),
+    ),
+    MetricDef::new(
+        "fairrank_http_errors_total",
+        "HTTP responses with a 4xx/5xx status",
+        Reader::Counter(|e| load(&e.stats.http_errors)),
+    ),
+    MetricDef::new(
+        "fairrank_connections_total",
+        "Connections accepted by the listener",
+        Reader::Counter(|e| load(&e.stats.connections)),
+    ),
+    MetricDef::new(
+        "fairrank_rejected_connections_total",
+        "Connections shed with 503: with Retry-After when the backlog is full, without it while draining",
+        Reader::Counter(|e| load(&e.stats.rejected_connections)),
+    ),
+    MetricDef::new(
+        "fairrank_http_request_duration_us",
+        "Per-route service latency in microseconds (request parsed to response written)",
+        Reader::Samples(|e| {
+            histograms("route", RouteClass::ALL, |r| (r.as_str(), e.stats.route_latency(r)))
+        }),
+    ),
+    MetricDef::new(
+        "fairrank_queue_wait_us",
+        "Time chunks sat in the bounded worker-pool queue, in microseconds, \
+         by submission route (measured where the pool dequeues)",
+        Reader::Samples(|e| {
+            histograms("route", JobOrigin::ALL, |o| (o.as_str(), e.stats.queue_wait(o)))
+        }),
+    ),
+    MetricDef::new(
+        "fairrank_service_us",
+        "Algorithm execution time in microseconds, by submission route",
+        Reader::Samples(|e| {
+            histograms("route", JobOrigin::ALL, |o| (o.as_str(), e.stats.service(o)))
+        }),
+    ),
+    MetricDef::new(
+        "fairrank_algorithm_duration_us",
+        "Per-algorithm execution latency in microseconds, over the worker pool",
+        Reader::Samples(|e| histograms("algorithm", &e.algo_latency, |a| (&a.name, &a.service))),
+    ),
+    MetricDef::new(
+        "fairrank_algorithm_queue_wait_us",
+        "Per-algorithm worker-pool queue wait in microseconds",
+        Reader::Samples(|e| {
+            histograms("algorithm", &e.algo_latency, |a| (&a.name, &a.queue_wait))
+        }),
+    ),
+    MetricDef {
+        merge: Merge::Max,
+        ..MetricDef::new(
+            "process_uptime_seconds",
+            "Seconds since the engine process started",
+            Reader::GaugeF64(|e| e.stats.uptime_seconds()),
+        )
+    },
+    MetricDef::new(
+        "process_resident_memory_bytes",
+        "Resident set size from /proc/self/status",
+        Reader::Samples(|_| optional_gauge(resident_memory_bytes())),
+    ),
+    MetricDef::new(
+        "process_open_fds",
+        "Open file descriptors from /proc/self/fd",
+        Reader::Samples(|_| optional_gauge(open_fds())),
+    ),
+];
+
+/// The `GET /stats` body, derived from [`ENGINE_METRICS`]: every
+/// unlabeled `fairrank_*` counter or gauge under its family name minus
+/// `fairrank_` and `_total`, then the request-latency quantiles
+/// `latency_p50_us` and `latency_p99_us`.
+pub(crate) fn stats_view(engine: &Engine) -> Json {
+    let mut fields: Vec<(&str, Json)> = ENGINE_METRICS
+        .iter()
+        .filter_map(|def| {
+            let key = def.name.strip_prefix("fairrank_")?;
+            let key = key.strip_suffix("_total").unwrap_or(key);
+            // counters go through `Json::Integer`, not `Json::Number`:
+            // the f64 path would silently round values above 2^53
+            let value = match def.read {
+                Reader::Counter(read) | Reader::Gauge(read) => Json::Integer(read(engine)),
+                Reader::GaugeF64(read) => Json::Number(read(engine)),
+                Reader::Samples(_) => return None,
+            };
+            Some((key, value))
+        })
+        .collect();
+    for (key, q) in [("latency_p50_us", 0.50), ("latency_p99_us", 0.99)] {
+        fields.push((key, Json::Integer(engine.stats.request_latency_us(q))));
+    }
+    Json::object(fields)
 }
 
 /// Append `label="value"` pairs (plus an optional trailing `le`) as a
@@ -547,25 +805,27 @@ fn write_label_block(out: &mut String, labels: &[(&str, &str)], le: Option<&str>
     out.push('}');
 }
 
-/// Render the families as Prometheus text exposition format
-/// (`# HELP`/`# TYPE` headers, exact integer values, cumulative
-/// histogram buckets ending in `+Inf`), appending to `out`.
-pub fn render_prometheus(families: &[MetricFamily<'_>], out: &mut String) {
-    for family in families {
-        let Some(first) = family.samples.first() else {
+/// Render a metric table over `state` as Prometheus text exposition
+/// format (`# HELP`/`# TYPE` headers, exact integer values, cumulative
+/// histogram buckets ending in `+Inf`), appending to `out`. A row that
+/// reads no samples is left out.
+pub fn render_prometheus<S>(table: &[MetricDef<S>], state: &S, out: &mut String) {
+    for def in table {
+        let samples = def.read.samples(state);
+        let Some(first) = samples.first() else {
             continue;
         };
-        let name = family.name;
+        let name = def.name;
         out.push_str("# HELP ");
         out.push_str(name);
         out.push(' ');
-        out.push_str(&family.help.replace('\n', " "));
+        out.push_str(&def.help.replace('\n', " "));
         out.push_str("\n# TYPE ");
         out.push_str(name);
         out.push(' ');
         out.push_str(first.value.type_str());
         out.push('\n');
-        for sample in &family.samples {
+        for sample in &samples {
             debug_assert_eq!(
                 sample.value.type_str(),
                 first.value.type_str(),
@@ -745,20 +1005,9 @@ pub fn validate_prometheus_text(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Point-in-time process self-gauges for `GET /metrics`.
-pub struct ProcessMetrics {
-    /// Resident set size in bytes (`VmRSS` from `/proc/self/status`).
-    pub rss_bytes: u64,
-    /// Open file descriptors (`/proc/self/fd` entries, including the
-    /// descriptor used to list them).
-    pub open_fds: u64,
-}
-
-/// Read RSS and fd-count from `/proc/self`. Linux-only: on other
-/// platforms (and on any read/parse failure) this returns `None` and
-/// the corresponding metric families are simply absent.
-#[cfg(target_os = "linux")]
-pub fn process_self_metrics() -> Option<ProcessMetrics> {
+/// Resident set size in bytes (`VmRSS` from `/proc/self/status`);
+/// `None` where that file cannot be read (any platform but Linux).
+fn resident_memory_bytes() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let rss_kb: u64 = status
         .lines()
@@ -767,17 +1016,13 @@ pub fn process_self_metrics() -> Option<ProcessMetrics> {
         .next()?
         .parse()
         .ok()?;
-    let open_fds = std::fs::read_dir("/proc/self/fd").ok()?.count() as u64;
-    Some(ProcessMetrics {
-        rss_bytes: rss_kb * 1024,
-        open_fds,
-    })
+    Some(rss_kb * 1024)
 }
 
-/// Read RSS and fd-count from `/proc/self` (always `None` off Linux).
-#[cfg(not(target_os = "linux"))]
-pub fn process_self_metrics() -> Option<ProcessMetrics> {
-    None
+/// Open file descriptors (`/proc/self/fd` entries, including the one
+/// used to list them); `None` where that directory cannot be read.
+fn open_fds() -> Option<u64> {
+    Some(std::fs::read_dir("/proc/self/fd").ok()?.count() as u64)
 }
 
 #[cfg(test)]
@@ -786,39 +1031,53 @@ mod tests {
 
     #[test]
     fn counters_appear_in_json() {
-        let s = EngineStats::new();
+        let e = Engine::new(crate::EngineConfig {
+            workers: 4,
+            ..crate::EngineConfig::default()
+        });
+        let s = &e.stats;
         EngineStats::bump(&s.cache_hits);
         EngineStats::bump(&s.cache_hits);
         EngineStats::bump(&s.cache_misses);
         EngineStats::bump(&s.rejected_connections);
-        s.latency.record_micros(100);
-        let tables = TableCache::new(8);
-        tables.get_or_build(10, 1.0).unwrap();
-        tables.get_or_build(10, 1.0).unwrap();
-        let jobs = JobStore::new(4);
-        let json = s.to_json(5, 100, 4, &tables, &jobs).to_string();
-        assert!(json.contains("\"cache_hits\":2"), "{json}");
-        assert!(json.contains("\"cache_misses\":1"), "{json}");
-        assert!(json.contains("\"cache_entries\":5"), "{json}");
-        assert!(json.contains("\"sampler_table_hits\":1"), "{json}");
-        assert!(json.contains("\"sampler_table_misses\":1"), "{json}");
-        assert!(json.contains("\"sampler_table_entries\":1"), "{json}");
-        assert!(json.contains("\"workers\":4"), "{json}");
-        assert!(json.contains("\"jobs_queued\":0"), "{json}");
-        assert!(json.contains("\"jobs_running\":0"), "{json}");
-        assert!(json.contains("\"jobs_completed\":0"), "{json}");
-        assert!(json.contains("\"jobs_failed\":0"), "{json}");
-        assert!(json.contains("\"jobs_cancelled\":0"), "{json}");
-        assert!(json.contains("\"jobs_queue_high_water\":0"), "{json}");
-        assert!(json.contains("\"rejected_connections\":1"), "{json}");
-        assert!(json.contains("\"latency_p50_us\":"), "{json}");
-        assert!(json.contains("\"latency_p99_us\":"), "{json}");
+        // one fast request on one route, one slow one on another: the
+        // quantiles read the routes summed
+        s.route_latency(RouteClass::Rank).record_micros(100);
+        s.route_latency(RouteClass::Other).record_micros(10_000);
+        e.exec.tables.get_or_build(10, 1.0).unwrap();
+        e.exec.tables.get_or_build(10, 1.0).unwrap();
+        let json = e.stats_json().to_string();
+        assert!(json.starts_with("{\"uptime_seconds\":"), "{json}");
+        for field in [
+            "\"ready\":1",
+            "\"workers\":4",
+            "\"workers_busy\":0",
+            "\"cache_hits\":2",
+            "\"cache_misses\":1",
+            "\"cache_entries\":0",
+            "\"cache_capacity\":1024",
+            "\"sampler_table_hits\":1",
+            "\"sampler_table_misses\":1",
+            "\"sampler_table_entries\":1",
+            "\"jobs_queued\":0",
+            "\"jobs_running\":0",
+            "\"jobs_completed\":0",
+            "\"jobs_failed\":0",
+            "\"jobs_cancelled\":0",
+            "\"jobs_queue_high_water\":0",
+            "\"jobs_stored\":0",
+            "\"rejected_connections\":1",
+            "\"latency_p50_us\":104",
+            "\"latency_p99_us\":9216}",
+        ] {
+            assert!(json.contains(field), "{field} in {json}");
+        }
     }
 
     #[test]
     fn histogram_buckets_are_monotone_and_total() {
         let h = LatencyHistogram::new();
-        assert_eq!(h.quantile_micros(0.5), 0);
+        assert_eq!(quantile_micros(&h.counts(), 0.5), 0);
         for v in [0u64, 1, 7, 8, 100, 1_000, 65_000, u64::MAX] {
             h.record_micros(v);
         }
@@ -826,7 +1085,7 @@ mod tests {
         // quantiles are non-decreasing in q
         let mut last = 0;
         for q in [0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0] {
-            let v = h.quantile_micros(q);
+            let v = quantile_micros(&h.counts(), q);
             assert!(v >= last, "quantile({q}) = {v} < {last}");
             last = v;
         }
@@ -840,9 +1099,9 @@ mod tests {
             h.record_micros(100);
         }
         h.record_micros(10_000);
-        let p50 = h.quantile_micros(0.50);
-        let p99 = h.quantile_micros(0.99);
-        let p999 = h.quantile_micros(0.999);
+        let p50 = quantile_micros(&h.counts(), 0.50);
+        let p99 = quantile_micros(&h.counts(), 0.99);
+        let p999 = quantile_micros(&h.counts(), 0.999);
         assert!((88..=113).contains(&p50), "p50 = {p50}");
         assert!((88..=113).contains(&p99), "p99 = {p99}");
         assert!((8_800..=11_300).contains(&p999), "p99.9 = {p999}");
@@ -869,24 +1128,34 @@ mod tests {
 
     #[test]
     fn render_prometheus_is_valid_and_digit_exact_above_2_pow_53() {
-        let histogram = LatencyHistogram::new();
-        histogram.record_micros(5);
-        histogram.record_micros(900);
-        let big = (1u64 << 53) + 3;
-        let families = [
-            MetricFamily::scalar("t_requests_total", "requests", MetricValue::Counter(big)),
-            MetricFamily::scalar("t_depth", "queue depth", MetricValue::Gauge(7)),
-            MetricFamily {
-                name: "t_latency_us",
-                help: "latency",
-                samples: vec![MetricSample {
-                    labels: vec![("route", "rank")],
-                    value: MetricValue::Histogram(&histogram),
-                }],
-            },
+        struct State {
+            big: u64,
+            histogram: LatencyHistogram,
+        }
+        let state = State {
+            big: (1u64 << 53) + 3,
+            histogram: LatencyHistogram::new(),
+        };
+        state.histogram.record_micros(5);
+        state.histogram.record_micros(900);
+        let table: [MetricDef<State>; 4] = [
+            MetricDef::new("t_requests_total", "requests", Reader::Counter(|s| s.big)),
+            MetricDef::new("t_depth", "queue depth", Reader::Gauge(|_| 7)),
+            MetricDef::new(
+                "t_latency_us",
+                "latency",
+                Reader::Samples(|s| {
+                    vec![MetricSample {
+                        labels: vec![("route", "rank")],
+                        value: MetricValue::Histogram(&s.histogram),
+                    }]
+                }),
+            ),
+            MetricDef::new("t_absent", "no samples", Reader::Samples(|_| Vec::new())),
         ];
         let mut out = String::new();
-        render_prometheus(&families, &mut out);
+        render_prometheus(&table, &state, &mut out);
+        assert!(!out.contains("t_absent"), "{out}");
         validate_prometheus_text(&out).expect(&out);
         // the counter renders digit-exact — the f64 path would have
         // produced ...744 instead of ...995
@@ -970,9 +1239,8 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn process_self_metrics_read_proc() {
-        let m = process_self_metrics().expect("/proc/self should be readable on Linux");
-        assert!(m.rss_bytes > 0);
-        assert!(m.open_fds > 0);
+        assert!(resident_memory_bytes().is_some_and(|rss| rss > 0));
+        assert!(open_fds().is_some_and(|fds| fds > 0));
     }
 
     #[test]

@@ -1,40 +1,47 @@
 //! Cluster-level `GET /metrics`: router-own counters followed by the
 //! merged backend scrapes.
 //!
-//! Router-own families are rendered through the engine's own
-//! exposition writer ([`fairrank_engine::stats::render_prometheus`]),
-//! so they share its formatting guarantees. Backend scrapes are then
-//! parsed and **summed by (series name, labels)** — counters add,
-//! gauges add (a cluster-level `fairrank_engine_workers` is the total
-//! worker count), histogram buckets add bucket-by-bucket, which keeps
-//! cumulative bucket monotonicity because every scrape is
-//! individually monotone. `# HELP`/`# TYPE` headers are emitted once
-//! per family in first-seen order, so the merged document still
-//! passes the engine's strict [`validate_prometheus_text`] checker —
-//! which `tests/router_serve.rs` asserts.
+//! Router-own families are one metric table (`ROUTER_METRICS`)
+//! rendered through the engine's own exposition writer
+//! ([`fairrank_engine::stats::render_prometheus`]), so they share its
+//! formatting guarantees. Backend scrapes are then parsed and merged
+//! **by (series name, labels)** under each family's [`Merge`] rule in
+//! the engine's table ([`ENGINE_METRICS`]); a family the table does not
+//! list sums. Summing makes a cluster-level `fairrank_workers` the total
+//! worker count and adds histogram buckets bucket-by-bucket, which keeps
+//! them cumulative because every scrape is; the two uptimes take the
+//! largest value instead. `# HELP`/`# TYPE` headers are emitted once per
+//! family in first-seen order, so the merged document still passes the
+//! engine's strict [`validate_prometheus_text`] checker — which
+//! `tests/router_serve.rs` asserts.
 //!
 //! [`validate_prometheus_text`]: fairrank_engine::stats::validate_prometheus_text
 
+use crate::client::BackendClient;
 use crate::RouterCore;
 use fairrank_engine::num;
-use fairrank_engine::stats::{render_prometheus, MetricFamily, MetricSample, MetricValue};
+use fairrank_engine::stats::{
+    render_prometheus, Merge, MetricDef, MetricSample, MetricValue, Reader, ENGINE_METRICS,
+};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
-/// One merged family: verbatim header lines plus summed samples in
+/// One merged family: verbatim header lines plus merged samples in
 /// first-seen order.
 struct MergedFamily {
     help_line: String,
     type_line: String,
+    /// How samples of this family from different backends combine.
+    merge: Merge,
     /// `series → value`, where `series` is the full sample name
     /// including its label block (e.g. `x_bucket{route="rank",le="50"}`).
     order: Vec<String>,
     values: Vec<Value>,
 }
 
-/// A summed sample value. Integral samples (counters, gauges, bucket
-/// counts, `_sum`s) add up exactly as `u64`, like the engine renders
-/// them; anything else adds up as `f64`.
+/// A merged sample value. Integral samples (counters, gauges, bucket
+/// counts, `_sum`s) merge exactly as `u64`, like the engine renders
+/// them; anything else merges as `f64`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Value {
     Int(u64),
@@ -56,17 +63,21 @@ impl Value {
         }
     }
 
-    fn add(self, other: Value) -> Value {
-        match (self, other) {
-            (Value::Int(a), Value::Int(b)) if a.checked_add(b).is_some() => Value::Int(a + b),
-            (a, b) => Value::Float(a.as_f64() + b.as_f64()),
+    fn merge(self, other: Value, rule: Merge) -> Value {
+        match (rule, self, other) {
+            (Merge::Sum, Value::Int(a), Value::Int(b)) if a.checked_add(b).is_some() => {
+                Value::Int(a + b)
+            }
+            (Merge::Sum, a, b) => Value::Float(a.as_f64() + b.as_f64()),
+            (Merge::Max, Value::Int(a), Value::Int(b)) => Value::Int(a.max(b)),
+            (Merge::Max, a, b) => Value::Float(a.as_f64().max(b.as_f64())),
         }
     }
 }
 
 /// Render the full cluster scrape into `out`.
 pub fn render(core: &RouterCore, out: &mut String, scratch: &mut Vec<u8>) {
-    render_router_families(core, out);
+    render_prometheus(ROUTER_METRICS, core, out);
     let mut families: Vec<MergedFamily> = Vec::new();
     for client in core.backends() {
         let scrape = client.request("GET", "/metrics", b"", Duration::from_secs(5), scratch);
@@ -100,86 +111,91 @@ fn write_families(families: &[MergedFamily], out: &mut String) {
     }
 }
 
-/// The `fairrank_router_*` families.
-fn render_router_families(core: &RouterCore, out: &mut String) {
-    let stats = &core.stats;
-    let ready = core.ready_count() as u64;
-    let mut families = vec![
-        MetricFamily::scalar(
-            "fairrank_router_requests_total",
-            "Requests entering the router's forwarding path.",
-            MetricValue::Counter(stats.requests.load(Ordering::Relaxed)),
-        ),
-        MetricFamily::scalar(
-            "fairrank_router_retries_total",
-            "Extra owner attempts after a failed or shedding one.",
-            MetricValue::Counter(stats.retries.load(Ordering::Relaxed)),
-        ),
-        MetricFamily::scalar(
-            "fairrank_router_hedges_total",
-            "Hedge requests launched against a key's next owner.",
-            MetricValue::Counter(stats.hedges.load(Ordering::Relaxed)),
-        ),
-        MetricFamily::scalar(
-            "fairrank_router_resubmissions_total",
-            "Batch jobs re-placed after their owner left the ring.",
-            MetricValue::Counter(stats.resubmissions.load(Ordering::Relaxed)),
-        ),
-        MetricFamily::scalar(
-            "fairrank_router_ring_churn_total",
-            "Ring membership transitions (joins plus leaves).",
-            MetricValue::Counter(stats.ring_churn.load(Ordering::Relaxed)),
-        ),
-        MetricFamily::scalar(
-            "fairrank_router_no_backend_total",
-            "Requests answered 503 because the ring was empty.",
-            MetricValue::Counter(stats.no_backend.load(Ordering::Relaxed)),
-        ),
-        MetricFamily::scalar(
-            "fairrank_router_rejected_connections_total",
-            "Client connections shed with 503 at the connection-thread cap.",
-            MetricValue::Counter(stats.rejected_connections.load(Ordering::Relaxed)),
-        ),
-        MetricFamily::scalar(
-            "fairrank_router_backends_ready",
-            "Backends currently in the hash ring.",
-            MetricValue::Gauge(ready),
-        ),
-        MetricFamily::scalar(
-            "fairrank_router_backends_configured",
-            "Backends configured at startup.",
-            MetricValue::Gauge(core.backends().len() as u64),
-        ),
-    ];
-    let inflight: Vec<u64> = core.backends().iter().map(|c| c.inflight()).collect();
-    let requests: Vec<u64> = core.backends().iter().map(|c| c.requests()).collect();
-    families.push(MetricFamily {
-        name: "fairrank_router_backend_inflight",
-        help: "Requests currently in flight to each backend.",
-        samples: core
-            .backends()
-            .iter()
-            .zip(&inflight)
-            .map(|(client, value)| MetricSample {
-                labels: vec![("backend", client.addr())],
-                value: MetricValue::Gauge(*value),
-            })
-            .collect(),
-    });
-    families.push(MetricFamily {
-        name: "fairrank_router_backend_requests_total",
-        help: "Requests ever issued to each backend.",
-        samples: core
-            .backends()
-            .iter()
-            .zip(&requests)
-            .map(|(client, value)| MetricSample {
-                labels: vec![("backend", client.addr())],
-                value: MetricValue::Counter(*value),
-            })
-            .collect(),
-    });
-    render_prometheus(&families, out);
+fn load(counter: &std::sync::atomic::AtomicU64) -> u64 {
+    counter.load(Ordering::Relaxed)
+}
+
+/// One sample per backend, labeled `backend`.
+fn per_backend(
+    core: &RouterCore,
+    value: fn(&BackendClient) -> MetricValue<'static>,
+) -> Vec<MetricSample<'_>> {
+    core.backends()
+        .iter()
+        .map(|client| MetricSample {
+            labels: vec![("backend", client.addr())],
+            value: value(client),
+        })
+        .collect()
+}
+
+/// The router's metric table: the `fairrank_router_*` families, in
+/// document order.
+static ROUTER_METRICS: &[MetricDef<RouterCore>] = &[
+    MetricDef::new(
+        "fairrank_router_requests_total",
+        "Requests entering the router's forwarding path.",
+        Reader::Counter(|core| load(&core.stats.requests)),
+    ),
+    MetricDef::new(
+        "fairrank_router_retries_total",
+        "Extra owner attempts after a failed or shedding one.",
+        Reader::Counter(|core| load(&core.stats.retries)),
+    ),
+    MetricDef::new(
+        "fairrank_router_hedges_total",
+        "Hedge requests launched against a key's next owner.",
+        Reader::Counter(|core| load(&core.stats.hedges)),
+    ),
+    MetricDef::new(
+        "fairrank_router_resubmissions_total",
+        "Batch jobs re-placed after their owner left the ring.",
+        Reader::Counter(|core| load(&core.stats.resubmissions)),
+    ),
+    MetricDef::new(
+        "fairrank_router_ring_churn_total",
+        "Ring membership transitions (joins plus leaves).",
+        Reader::Counter(|core| load(&core.stats.ring_churn)),
+    ),
+    MetricDef::new(
+        "fairrank_router_no_backend_total",
+        "Requests answered 503 because the ring was empty.",
+        Reader::Counter(|core| load(&core.stats.no_backend)),
+    ),
+    MetricDef::new(
+        "fairrank_router_rejected_connections_total",
+        "Client connections shed with 503 at the connection-thread cap.",
+        Reader::Counter(|core| load(&core.stats.rejected_connections)),
+    ),
+    MetricDef::new(
+        "fairrank_router_backends_ready",
+        "Backends currently in the hash ring.",
+        Reader::Gauge(|core| core.ready_count() as u64),
+    ),
+    MetricDef::new(
+        "fairrank_router_backends_configured",
+        "Backends configured at startup.",
+        Reader::Gauge(|core| core.backends().len() as u64),
+    ),
+    MetricDef::new(
+        "fairrank_router_backend_inflight",
+        "Requests currently in flight to each backend.",
+        Reader::Samples(|core| per_backend(core, |c| MetricValue::Gauge(c.inflight()))),
+    ),
+    MetricDef::new(
+        "fairrank_router_backend_requests_total",
+        "Requests ever issued to each backend.",
+        Reader::Samples(|core| per_backend(core, |c| MetricValue::Counter(c.requests()))),
+    ),
+];
+
+/// The merge rule of a backend family: its [`ENGINE_METRICS`] row's,
+/// or [`Merge::Sum`] for a family that table does not list.
+fn merge_rule(name: &str) -> Merge {
+    ENGINE_METRICS
+        .iter()
+        .find(|def| def.name == name)
+        .map_or(Merge::Sum, |def| def.merge)
 }
 
 /// Fold one backend's scrape into the merged families. The engine
@@ -196,6 +212,7 @@ fn merge_scrape(families: &mut Vec<MergedFamily>, text: &str) {
                 families.push(MergedFamily {
                     help_line: line.to_string(),
                     type_line: String::new(),
+                    merge: merge_rule(name),
                     order: Vec::new(),
                     values: Vec::new(),
                 });
@@ -218,7 +235,9 @@ fn merge_scrape(families: &mut Vec<MergedFamily>, text: &str) {
             };
             let family = &mut families[index];
             match family.order.iter().position(|s| s == series) {
-                Some(sample) => family.values[sample] = family.values[sample].add(value),
+                Some(sample) => {
+                    family.values[sample] = family.values[sample].merge(value, family.merge);
+                }
                 None => {
                     family.order.push(series.to_string());
                     family.values.push(value);
@@ -237,7 +256,7 @@ fn family_name(family: &MergedFamily) -> &str {
         .unwrap_or("")
 }
 
-/// Write a summed value the way the engine would: digit-exact for
+/// Write a merged value the way the engine would: digit-exact for
 /// integers, shortest round-trip decimal (`{}`) for floats.
 fn write_value(out: &mut String, value: Value) {
     match value {
@@ -296,6 +315,9 @@ fairrank_http_requests_total{route=\"rank\"} 9007199254740993
 # HELP fairrank_uptime_seconds Uptime.
 # TYPE fairrank_uptime_seconds gauge
 fairrank_uptime_seconds 0.25
+# HELP t_load_ratio A float gauge the engine's table does not list.
+# TYPE t_load_ratio gauge
+t_load_ratio 0.25
 ";
         let mut families = Vec::new();
         merge_scrape(&mut families, scrape);
@@ -306,7 +328,36 @@ fairrank_uptime_seconds 0.25
             out.contains("fairrank_http_requests_total{route=\"rank\"} 18014398509481986\n"),
             "{out}"
         );
-        assert!(out.contains("fairrank_uptime_seconds 0.5\n"), "{out}");
+        // uptime merges by max, an unlisted float family by f64 sum
+        assert!(out.contains("fairrank_uptime_seconds 0.25\n"), "{out}");
+        assert!(out.contains("t_load_ratio 0.5\n"), "{out}");
+        validate_prometheus_text(&out).expect("merged scrape must stay valid");
+    }
+
+    #[test]
+    fn uptimes_merge_by_max_and_workers_by_sum() {
+        let scrape = |uptime: &str, workers: u64| {
+            format!(
+                "# HELP fairrank_uptime_seconds Uptime.\n\
+                 # TYPE fairrank_uptime_seconds gauge\n\
+                 fairrank_uptime_seconds {uptime}\n\
+                 # HELP fairrank_workers Workers.\n\
+                 # TYPE fairrank_workers gauge\n\
+                 fairrank_workers {workers}\n\
+                 # HELP process_uptime_seconds Uptime.\n\
+                 # TYPE process_uptime_seconds gauge\n\
+                 process_uptime_seconds {uptime}\n"
+            )
+        };
+        let mut families = Vec::new();
+        merge_scrape(&mut families, &scrape("10", 4));
+        merge_scrape(&mut families, &scrape("12.5", 2));
+        merge_scrape(&mut families, &scrape("11", 2));
+        let mut out = String::new();
+        write_families(&families, &mut out);
+        assert!(out.contains("\nfairrank_uptime_seconds 12.5\n"), "{out}");
+        assert!(out.contains("\nprocess_uptime_seconds 12.5\n"), "{out}");
+        assert!(out.contains("\nfairrank_workers 8\n"), "{out}");
         validate_prometheus_text(&out).expect("merged scrape must stay valid");
     }
 }
